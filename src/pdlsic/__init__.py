@@ -41,12 +41,10 @@ from .channel import (
     SnrSpec,
     alpha_from_pdl_db,
     channel_matrix,
-    channel_matrix_complex,
-    channel_matrix_real,
     pdl_db_from_alpha,
     received_snr,
     sample_params,
-    spawn_seeds,
+    validate_alpha,
 )
 from .equalize import (
     Equalizer,
@@ -55,8 +53,10 @@ from .equalize import (
     SingularChannelError,
     StreamScheme,
     StreamStats,
+    cancel_first_group,
     closed_form_stream_snr,
     lmmse_equalizer,
+    post_sic_streams,
     second_stage_statistics,
     sic_pipeline,
     stream_statistics,
@@ -81,10 +81,8 @@ from .montecarlo import (
     SerStats,
     SimConfig,
     SimReport,
-    estimate_mi,
     run,
     ser_pam_awgn,
-    uncoded_ser_experiment,
 )
 from .precode import (
     EffectiveChannel,
@@ -96,6 +94,7 @@ from .precode import (
     permute_columns,
     precoder_complex,
     precoder_real,
+    universal_precoder,
     verify_orthogonal_design,
 )
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SnrSpec, TWO_PI, ChannelParams, Model, channel_matrix
-from .precode import Precoder
+from .channel import SnrSpec, TWO_PI, ChannelParams, Model, validate_alpha
+from .precode import Precoder, effective_channel
 
 #: Default grid resolutions for the max-min searches.  201 points in beta
 #: and gamma resolve the quadratic flatness near beta* = 1/2 at the 1e-9-bit
@@ -31,11 +31,6 @@ GRID_N_THETA = 256
 GRID_N_PHI = 64
 
 STAR_TOL_BITS = 1e-9
-
-
-def _check_alpha(alpha: float):
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
 
 
 def c_awgn(snr):
@@ -49,14 +44,14 @@ def c_awgn(snr):
 
 def c_compound(alpha: float, snr):
     """Worst-case (compound) capacity per real dimension."""
-    _check_alpha(alpha)
+    validate_alpha(alpha)
     s = np.asarray(snr, float)
     return (c_awgn((1.0 + alpha) * s) + c_awgn((1.0 - alpha) * s)) / 2.0
 
 
 def c_compound_approx(alpha: float, snr):
     """High-SNR approximation to the compound capacity, per real dimension."""
-    _check_alpha(alpha)
+    validate_alpha(alpha)
     return (c_awgn((1.0 - alpha**2) * np.asarray(snr, float)) + c_awgn(snr)) / 2.0
 
 
@@ -67,13 +62,13 @@ def c_parallel(alpha: float, snr):
 
 def c_parallel_approx(alpha: float, snr):
     """High-SNR approximation to the parallel capacity, per real dimension."""
-    _check_alpha(alpha)
+    validate_alpha(alpha)
     return c_awgn((1.0 - alpha**2) * np.asarray(snr, float))
 
 
 def c_nonjoint(alpha: float, snr):
     """Guaranteed rate with fully separate per-polarization coding, per real dimension."""
-    _check_alpha(alpha)
+    validate_alpha(alpha)
     return c_awgn((1.0 - alpha) * np.asarray(snr, float))
 
 
@@ -82,7 +77,7 @@ def inverse_c_compound(alpha: float, rate: float) -> float:
 
     Closed form from (1+(1+a)s)(1+(1-a)s) = 2^(4*rate).
     """
-    _check_alpha(alpha)
+    validate_alpha(alpha)
     if rate < 0.0:
         raise ValueError("rate must be non-negative")
     q = 2.0 ** (4.0 * rate) - 1.0
@@ -108,7 +103,7 @@ class PdlPenalties:
 
 def penalties_db(alpha: float) -> PdlPenalties:
     """The three high-SNR penalties: 1/(1-a), 1/(1-a^2), 1/sqrt(1-a^2) in dB."""
-    _check_alpha(alpha)
+    validate_alpha(alpha)
     return PdlPenalties(
         nonjoint_db=10.0 * math.log10(1.0 / (1.0 - alpha)),
         parallel_db=10.0 * math.log10(1.0 / (1.0 - alpha**2)),
@@ -221,7 +216,7 @@ def worst_case_search(
     b in [0,1] and g in [-alpha, alpha]; theta drops out of the mutual
     information sum.  Runs on an inclusive lattice in fixed order.
     """
-    _check_alpha(alpha)
+    validate_alpha(alpha)
     betas = np.linspace(0.0, 1.0, n_beta)
     gammas = np.linspace(-alpha, alpha, n_gamma)
     bb = betas[:, None]
@@ -243,40 +238,6 @@ def worst_case_search(
         max_min_bits=float(min_value[k]),
         closed_form_bits=2.0 * float(c_compound(alpha, snr)),
     )
-
-
-def _single_use_batch(gammas, thetas, phis, model: Model) -> np.ndarray:
-    """Stacked single-use channel matrices for flattened parameter arrays."""
-    g = np.asarray(gammas, float)
-    t = np.asarray(thetas, float)
-    b = g.size
-    c, s = np.cos(t), np.sin(t)
-    rp, rm = np.sqrt(1.0 + g), np.sqrt(1.0 - g)
-    if model is Model.REAL:
-        m = np.empty((b, 2, 2))
-        m[:, 0, 0] = rp * c
-        m[:, 0, 1] = -rp * s
-        m[:, 1, 0] = rm * s
-        m[:, 1, 1] = rm * c
-        return m
-    p = np.asarray(phis, float)
-    cp, sp = np.cos(p), np.sin(p)
-    dr = np.zeros((b, 4, 4))
-    dr[:, 0, 0] = rp * c
-    dr[:, 0, 1] = -rp * s
-    dr[:, 1, 0] = rm * s
-    dr[:, 1, 1] = rm * c
-    dr[:, 2:, 2:] = dr[:, :2, :2]
-    bp = np.zeros((b, 4, 4))
-    bp[:, 0, 0] = cp
-    bp[:, 0, 2] = -sp
-    bp[:, 1, 1] = cp
-    bp[:, 1, 3] = sp
-    bp[:, 2, 0] = sp
-    bp[:, 2, 2] = cp
-    bp[:, 3, 1] = -sp
-    bp[:, 3, 3] = cp
-    return dr @ bp
 
 
 def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
@@ -334,10 +295,8 @@ def verify_star_property(
     correct precoder and stream order.  gap >= 0 always, and a pass means the
     two sides agree to ``tol`` bits per real dimension.
     """
-    _check_alpha(alpha)
-    g_mat = precoder.entries
+    validate_alpha(alpha)
     n = precoder.n_streams
-    d = n // 2
     gammas = np.linspace(-alpha, alpha, n_gamma)
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     use_phi = precoder.model is Model.COMPLEX
@@ -347,13 +306,10 @@ def verify_star_property(
     min_snrs = np.full(n, np.inf)
     # Chunk over gamma: each chunk is the full theta x phi sheet.
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
+    tt, pp = tt.ravel(), (pp.ravel() if use_phi else None)
     for g in gammas:
-        m = _single_use_batch(np.full(tt.size, g), tt, pp, precoder.model)
-        block = np.zeros((tt.size, n, n))
-        block[:, :d, :d] = m
-        block[:, d:, d:] = m
-        h = block @ g_mat
+        sheet = ChannelParams(np.full(tt.size, g), tt, pp)
+        h = effective_channel(sheet, precoder, SnrSpec(snr)).matrix
         gram = np.swapaxes(h, 1, 2) @ h
         snrs = successive_stream_snrs(gram, snr)
         caps = 0.5 * np.log2(1.0 + snrs)
@@ -402,13 +358,3 @@ def mean_identity_check(a: float, b: float, snr: float = 100.0) -> MeanIdentityR
     chain_defect = max(abs(x - t_sum) for x in terms)
     return MeanIdentityReport(am, gm, hm, product_defect, chain_defect)
 
-
-def gram_matrix(params: ChannelParams, precoder: Precoder) -> np.ndarray:
-    """H^T H of the effective channel, for cross-checks against the grid engine."""
-    m = channel_matrix(params).entries
-    d = m.shape[0]
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = m
-    block[d:, d:] = m
-    h = block @ precoder.entries
-    return h.T @ h

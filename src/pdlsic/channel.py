@@ -10,10 +10,11 @@ imaginary parts.
 
 Noise variance is fixed at 1 per real dimension everywhere; the SNR carries
 all scaling.  All dB values are power dB (10*log10).  Every type here is an
-immutable value and every operation a pure function, so evaluation from many
-workers needs no coordination; random streams are split per worker by
-deriving child seeds from (master seed, worker index), see
-:func:`spawn_seeds`.
+immutable value and every operation a pure function.
+
+:class:`ChannelParams` fields may be equal-shape arrays instead of scalars;
+:func:`channel_matrix` then returns the stack of matrices over those leading
+axes, and a scalar point is simply a batch of one.
 """
 
 import enum
@@ -69,10 +70,15 @@ class SampleMode(enum.Enum):
         raise ValueError(f"unknown sample mode {name!r}")
 
 
-def pdl_db_from_alpha(alpha: float) -> float:
-    """Worst-case PDL in dB, 10*log10((1+alpha)/(1-alpha))."""
+def validate_alpha(alpha: float) -> None:
+    """Raise ValueError unless ``alpha`` is a worst-case PDL parameter in [0, 1)."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+
+
+def pdl_db_from_alpha(alpha: float) -> float:
+    """Worst-case PDL in dB, 10*log10((1+alpha)/(1-alpha))."""
+    validate_alpha(alpha)
     return 10.0 * math.log10((1.0 + alpha) / (1.0 - alpha))
 
 
@@ -91,8 +97,7 @@ class PdlClass:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
+        validate_alpha(self.alpha)
 
     @property
     def pdl_db(self) -> float:
@@ -110,8 +115,8 @@ class SnrSpec:
     snr_linear: float
 
     def __post_init__(self):
-        if not self.snr_linear > 0.0:
-            raise ValueError(f"snr_linear must be positive, got {self.snr_linear}")
+        if not 0.0 < self.snr_linear < math.inf:
+            raise ValueError(f"snr_linear must be positive and finite, got {self.snr_linear}")
 
     @property
     def snr_db(self) -> float:
@@ -119,23 +124,26 @@ class SnrSpec:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrSpec":
-        return cls(10.0 ** (snr_db / 10.0))
+        try:
+            return cls(10.0 ** (snr_db / 10.0))
+        except OverflowError:
+            raise ValueError(f"snr_db must be finite, got {snr_db}") from None
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """One member of the compound class.
+    """One member of the compound class, or a stack of members.
 
     ``theta`` and ``phi`` are normalized into [0, 2*pi); ``phi`` is present
-    only for the complex model.
+    only for the complex model.  Fields are scalars or equal-shape arrays.
     """
 
-    gamma: float
-    theta: float
-    phi: float | None = None
+    gamma: float | np.ndarray
+    theta: float | np.ndarray
+    phi: float | np.ndarray | None = None
 
     def __post_init__(self):
-        if not abs(self.gamma) < 1.0:
+        if not (np.abs(self.gamma) < 1.0).all():
             raise ValueError(f"|gamma| must be < 1, got {self.gamma}")
         object.__setattr__(self, "theta", self.theta % TWO_PI)
         if self.phi is not None:
@@ -154,52 +162,31 @@ class ChannelMatrix:
     model: Model
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def channel_matrix_real(params: ChannelParams) -> ChannelMatrix:
-    """2x2 real-model matrix D_gamma @ R_theta."""
-    if params.phi is not None:
-        raise ValueError("real model takes no phi; use channel_matrix_complex")
-    d = np.diag([math.sqrt(1.0 + params.gamma), math.sqrt(1.0 - params.gamma)])
-    return ChannelMatrix(d @ _rotation(params.theta), Model.REAL)
-
-
-def channel_matrix_complex(params: ChannelParams) -> ChannelMatrix:
-    """4x4 real-equivalent matrix D_gamma @ R_theta @ B_phi.
-
-    The layout puts real parts in entries 1-2 and imaginary parts in 3-4, so
-    the matrix is the real representation [[A, -B], [B, A]] of the complex
-    2x2 channel A + iB.
-    """
-    if params.phi is None:
-        raise ValueError("complex model requires phi; use channel_matrix_real")
-    rp = math.sqrt(1.0 + params.gamma)
-    rm = math.sqrt(1.0 - params.gamma)
-    d = np.diag([rp, rm, rp, rm])
-    r2 = _rotation(params.theta)
-    r = np.zeros((4, 4))
-    r[:2, :2] = r2
-    r[2:, 2:] = r2
-    cp, sp = math.cos(params.phi), math.sin(params.phi)
-    b = np.array(
-        [
-            [cp, 0.0, -sp, 0.0],
-            [0.0, cp, 0.0, sp],
-            [sp, 0.0, cp, 0.0],
-            [0.0, -sp, 0.0, cp],
-        ]
-    )
-    return ChannelMatrix(d @ r @ b, Model.COMPLEX)
-
-
 def channel_matrix(params: ChannelParams) -> ChannelMatrix:
-    """Dispatch on the params' model tag."""
-    if params.model is Model.REAL:
-        return channel_matrix_real(params)
-    return channel_matrix_complex(params)
+    """Single-use matrix D_gamma @ R_theta (real) or D_gamma @ R_theta @ B_phi (complex).
+
+    Written entry by entry, so array-valued params give a ``(..., d, d)``
+    stack.  The complex layout puts real parts in entries 1-2 and imaginary
+    parts in 3-4, so the matrix is the real representation [[A, -B], [B, A]]
+    of the complex 2x2 channel A + iB.
+    """
+    c, s = np.cos(params.theta), np.sin(params.theta)
+    rp, rm = np.sqrt(1.0 + params.gamma), np.sqrt(1.0 - params.gamma)
+    # rows of D_gamma @ R_theta: [a, -b] and [e, f]
+    a, b, e, f = rp * c, rp * s, rm * s, rm * c
+    if params.phi is None:
+        rows = [[a, -b], [e, f]]
+    else:
+        cp, sp = np.cos(params.phi), np.sin(params.phi)
+        rows = [
+            [a * cp, -(b * cp), -(a * sp), -(b * sp)],
+            [e * cp, f * cp, -(e * sp), f * sp],
+            [a * sp, b * sp, a * cp, -(b * cp)],
+            [e * sp, -(f * sp), e * cp, f * cp],
+        ]
+    entries = np.array(rows)  # (d, d, *batch); move the matrix axes last
+    entries = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
+    return ChannelMatrix(np.ascontiguousarray(entries), params.model)
 
 
 def received_snr(matrix: ChannelMatrix, snr: SnrSpec) -> float:
@@ -255,8 +242,3 @@ def sample_params(
         t = rng.uniform(0.0, TWO_PI)
         p = rng.uniform(0.0, TWO_PI) if use_phi else None
         yield ChannelParams(g, t, p)
-
-
-def spawn_seeds(master_seed, n_workers: int) -> list[np.random.SeedSequence]:
-    """Derive independent child seeds from (master seed, worker index)."""
-    return np.random.SeedSequence(master_seed).spawn(n_workers)

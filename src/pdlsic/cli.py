@@ -3,23 +3,26 @@
 Subcommands: ``curves``, ``penalties``, ``verify``, ``simulate``, ``fer``.
 All file outputs are deterministic for fixed flags and seed, with numbers at
 12 significant digits.  Exit codes: 0 success, 1 verification failure,
-2 usage or format error.  PDLSIC_THREADS caps the simulation worker count.
+2 usage or format error.
 """
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import capacity, linkbudget, montecarlo
 from .channel import (
+    ChannelParams,
     Model,
     PdlClass,
     SampleMode,
     SnrSpec,
     alpha_from_pdl_db,
     sample_params,
+    validate_alpha,
 )
 from .equalize import (
     StreamScheme,
@@ -33,8 +36,7 @@ from .precode import (
     effective_channel,
     identity_precoder,
     permute_columns,
-    precoder_complex,
-    precoder_real,
+    universal_precoder,
     verify_orthogonal_design,
 )
 
@@ -47,8 +49,6 @@ CURVE_COLUMNS = (
     "c_parallel_approx",
     "c_nonjoint",
 )
-
-VERIFY_SUITES = ("orthogonality", "snr-closed-forms", "star-property", "worst-case", "means")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -81,26 +81,32 @@ def _emit_json(payload: dict, out_path):
     _emit(json.dumps(_round_floats(payload), indent=2) + "\n", out_path)
 
 
-def _alpha_from_args(args) -> float:
-    if args.pdl_db is not None:
-        return alpha_from_pdl_db(args.pdl_db)
-    return args.alpha
-
-
-def _add_alpha_flags(parser, required=True):
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_alpha_flags(parser):
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", type=float, help="Worst-case PDL parameter in [0, 1).")
     group.add_argument(
         "--pdl-db", type=float, help="Worst-case PDL in dB (alternative to --alpha)."
     )
 
 
+def _count(minimum: int):
+    """argparse type for an integer flag of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 def cmd_curves(args) -> int:
-    alpha = _alpha_from_args(args)
+    alpha = args.alpha
     if args.snr_db_step <= 0 or args.snr_db_max < args.snr_db_min:
         raise ValueError("curves needs snr-db-max >= snr-db-min and a positive step")
-    n = int(round((args.snr_db_max - args.snr_db_min) / args.snr_db_step))
-    snr_db = args.snr_db_min + args.snr_db_step * np.arange(n + 1)
+    # the slack keeps a last step that lands on snr-db-max up to rounding
+    n = math.floor((args.snr_db_max - args.snr_db_min) / args.snr_db_step + 1e-9)
+    snr_db = np.minimum(args.snr_db_min + args.snr_db_step * np.arange(n + 1), args.snr_db_max)
     snr = 10.0 ** (snr_db / 10.0)
     columns = [
         snr_db,
@@ -119,13 +125,11 @@ def cmd_curves(args) -> int:
 
 
 def cmd_penalties(args) -> int:
-    alpha = _alpha_from_args(args)
-    pen = capacity.penalties_db(alpha)
     _emit_json(
         {
-            "alpha": alpha,
-            "pdl_db": PdlClass(alpha).pdl_db,
-            "penalties_db": pen.as_dict(),
+            "alpha": args.alpha,
+            "pdl_db": PdlClass(args.alpha).pdl_db,
+            "penalties_db": capacity.penalties_db(args.alpha).as_dict(),
         },
         args.out,
     )
@@ -138,33 +142,29 @@ def _models_from_arg(model_arg: str) -> list[Model]:
     return [Model.parse(model_arg)]
 
 
-def _universal_precoder(model: Model):
-    return precoder_real() if model is Model.REAL else precoder_complex()
+def _sampled_params(args, alpha: float, model: Model) -> ChannelParams:
+    """The suite's random draws for one model, as one array-valued ChannelParams."""
+    draws = list(sample_params(
+        PdlClass(alpha), SampleMode.UNIFORM_INTERIOR, model, seed=args.seed, count=args.draws
+    ))
+    phi = None if model is Model.REAL else np.array([p.phi for p in draws])
+    return ChannelParams(np.array([p.gamma for p in draws]), np.array([p.theta for p in draws]), phi)
 
 
 def _suite_orthogonality(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
     detail = {}
     ok = True
     for model in _models_from_arg(args.model):
-        pre = _universal_precoder(model)
-        worst = {"h1": 0.0, "h2": 0.0, "symmetry": 0.0, "coupling_eigs": 0.0}
-        for params in sample_params(
-            PdlClass(alpha),
-            SampleMode.UNIFORM_INTERIOR,
-            model,
-            seed=args.seed,
-            count=args.draws,
-        ):
-            eff = effective_channel(params, pre, snr)
-            rep = verify_orthogonal_design(eff)
-            worst["h1"] = max(worst["h1"], rep.max_dev_h1)
-            worst["h2"] = max(worst["h2"], rep.max_dev_h2)
-            worst["symmetry"] = max(worst["symmetry"], rep.symmetry_defect)
-            s = rep.coupling
-            eig_dev = float(
-                np.abs(s.T @ s - params.gamma**2 * np.eye(s.shape[0])).max()
-            )
-            worst["coupling_eigs"] = max(worst["coupling_eigs"], eig_dev)
+        params = _sampled_params(args, alpha, model)
+        rep = verify_orthogonal_design(effective_channel(params, universal_precoder(model), snr))
+        s = rep.coupling
+        gamma_sq = (params.gamma**2)[:, None, None] * np.eye(s.shape[-1])
+        worst = {
+            "h1": rep.max_dev_h1,
+            "h2": rep.max_dev_h2,
+            "symmetry": rep.symmetry_defect,
+            "coupling_eigs": float(np.abs(np.swapaxes(s, 1, 2) @ s - gamma_sq).max()),
+        }
         passed = max(worst.values()) < 1e-10
         ok &= passed
         detail[model.value] = {"max_defects": worst, "passed": passed}
@@ -176,31 +176,19 @@ def _suite_orthogonality(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
 def _suite_snr_closed_forms(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
     detail = {}
     ok = True
-    closed = {
-        StreamScheme.ZF: lambda g: closed_form_stream_snr(StreamScheme.ZF, g, snr),
-        StreamScheme.LMMSE: lambda g: closed_form_stream_snr(StreamScheme.LMMSE, g, snr),
-        StreamScheme.POST_SIC: lambda g: closed_form_stream_snr(StreamScheme.POST_SIC, g, snr),
-    }
     for model in _models_from_arg(args.model):
-        pre = _universal_precoder(model)
-        worst = dict.fromkeys((s.value for s in closed), 0.0)
-        for params in sample_params(
-            PdlClass(alpha),
-            SampleMode.UNIFORM_INTERIOR,
-            model,
-            seed=args.seed,
-            count=args.draws,
-        ):
-            eff = effective_channel(params, pre, snr)
-            numeric = {
-                StreamScheme.ZF: stream_statistics(eff, zf_equalizer(eff)).snr_per_stream,
-                StreamScheme.LMMSE: stream_statistics(eff, lmmse_equalizer(eff)).snr_per_stream,
-                StreamScheme.POST_SIC: second_stage_statistics(eff).snr_per_stream,
-            }
-            for scheme, snrs in numeric.items():
-                expect = closed[scheme](params.gamma)
-                rel = float(np.abs(snrs - expect).max() / expect)
-                worst[scheme.value] = max(worst[scheme.value], rel)
+        params = _sampled_params(args, alpha, model)
+        eff = effective_channel(params, universal_precoder(model), snr)
+        numeric = {
+            StreamScheme.ZF: stream_statistics(eff, zf_equalizer(eff)).snr_per_stream,
+            StreamScheme.LMMSE: stream_statistics(eff, lmmse_equalizer(eff)).snr_per_stream,
+            StreamScheme.POST_SIC: second_stage_statistics(eff).snr_per_stream,
+        }
+        worst = {}
+        for scheme, snrs in numeric.items():
+            expect = closed_form_stream_snr(scheme, params.gamma, snr)
+            rel = np.abs(snrs - expect[:, None]).max(axis=1) / expect
+            worst[scheme.value] = float(rel.max())
         passed = max(worst.values()) < 1e-9
         ok &= passed
         detail[model.value] = {"max_rel_dev": worst, "passed": passed}
@@ -213,7 +201,7 @@ def _suite_star_property(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
     detail = {}
     ok = True
     for model in _models_from_arg(args.model):
-        pre = identity_precoder(model) if args.precoder == "identity" else _universal_precoder(model)
+        pre = identity_precoder(model) if args.precoder == "identity" else universal_precoder(model)
         if args.permute:
             order = [int(tok) for tok in args.permute.split(",")]
             pre = permute_columns(pre, order)
@@ -290,12 +278,11 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    alpha = _alpha_from_args(args)
     snr = SnrSpec.from_db(args.snr_db)
-    passed, detail = _SUITES[args.suite](args, alpha, snr)
+    passed, detail = _SUITES[args.suite](args, args.alpha, snr)
     if args.out:
         _emit_json(
-            {"suite": args.suite, "alpha": alpha, "snr_db": snr.snr_db,
+            {"suite": args.suite, "alpha": args.alpha, "snr_db": snr.snr_db,
              "passed": passed, "detail": detail},
             args.out,
         )
@@ -319,11 +306,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fer(args) -> int:
-    alpha = _alpha_from_args(args)
     table1 = linkbudget.FerTable.from_csv(args.table1)
     table2 = linkbudget.FerTable.from_csv(args.table2)
     point = linkbudget.evaluate_operating_point(
-        alpha, SnrSpec.from_db(args.snr_db), table1, table2
+        args.alpha, SnrSpec.from_db(args.snr_db), table1, table2
     )
     _emit_json(point.as_dict(), args.out)
     return EXIT_OK
@@ -351,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_penalties)
 
     p = sub.add_parser("verify", help="Run a named verification suite.")
-    p.add_argument("--suite", required=True, choices=VERIFY_SUITES)
-    _add_alpha_flags(p, required=False)
+    p.add_argument("--suite", required=True, choices=_SUITES)
+    _add_alpha_flags(p)
     p.add_argument("--snr-db", type=float, default=13.010299956639813,
                    help="SNR in dB (default: linear SNR 20).")
     p.add_argument("--model", choices=("real", "complex", "both"), default="both")
@@ -361,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permute", default=None,
                    help="star-property only: comma-separated column order for a "
                         "negative test, e.g. 0,2,1,3.")
-    p.add_argument("--n-beta", type=int, default=capacity.GRID_N_BETA)
-    p.add_argument("--n-gamma", type=int, default=capacity.GRID_N_GAMMA)
-    p.add_argument("--n-theta", type=int, default=capacity.GRID_N_THETA)
-    p.add_argument("--n-phi", type=int, default=capacity.GRID_N_PHI)
-    p.add_argument("--draws", type=int, default=10000,
+    p.add_argument("--n-beta", type=_count(2), default=capacity.GRID_N_BETA)
+    p.add_argument("--n-gamma", type=_count(1), default=capacity.GRID_N_GAMMA)
+    p.add_argument("--n-theta", type=_count(1), default=capacity.GRID_N_THETA)
+    p.add_argument("--n-phi", type=_count(1), default=capacity.GRID_N_PHI)
+    p.add_argument("--draws", type=_count(1), default=10000,
                    help="Random parameter draws for the sampling suites.")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="Write JSON detail to this path.")
@@ -390,8 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "alpha", None) is not None and not 0.0 <= args.alpha < 1.0:
-        parser.error(f"--alpha must lie in [0, 1), got {args.alpha}")
+    try:
+        if getattr(args, "pdl_db", None) is not None:
+            args.alpha = alpha_from_pdl_db(args.pdl_db)
+        if hasattr(args, "alpha"):
+            validate_alpha(args.alpha)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -16,8 +16,11 @@ through H1, and matched-filters the remainder with H2^T.  Because H2 has
 orthonormal columns for every channel realization under the universal
 precoders, the second stage is exactly white with per-stream SNR equal to
 the channel SNR.  Cancellation here is genie-aided (the rate claims are
-conditioned on correct first-group decoding); decision-directed cancellation
-lives in the Monte Carlo experiments.
+conditioned on correct first-group decoding); the Monte Carlo experiments
+reuse :func:`cancel_first_group` for decision-directed cancellation too.
+
+Equalizers, statistics and closed forms act on the last two axes, so a
+stacked effective channel gives stacked results.
 """
 
 import enum
@@ -58,10 +61,22 @@ class Equalizer:
     kind: EqualizerKind
 
 
+def _transpose(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """Diagonal matrices with ``v`` on the diagonal, over the leading axes of ``v``."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
+
+
 def zf_equalizer(effective: EffectiveChannel) -> Equalizer:
     """E = H^-1; exists whenever |gamma| < 1."""
     h = effective.matrix
-    if np.linalg.cond(h) > CONDITION_LIMIT:
+    if (np.linalg.cond(h) > CONDITION_LIMIT).any():
         raise SingularChannelError(
             f"effective channel condition number exceeds {CONDITION_LIMIT:g}"
         )
@@ -71,9 +86,8 @@ def zf_equalizer(effective: EffectiveChannel) -> Equalizer:
 def lmmse_equalizer(effective: EffectiveChannel) -> Equalizer:
     """E = H^T (H H^T + I/SNR)^-1 for the channel's SNR context."""
     h = effective.matrix
-    m = h.shape[0]
-    s = effective.snr.snr_linear
-    e = h.T @ np.linalg.inv(h @ h.T + np.eye(m) / s)
+    ht = _transpose(h)
+    e = ht @ np.linalg.inv(h @ ht + np.eye(h.shape[-2]) / effective.snr.snr_linear)
     return Equalizer(e, EqualizerKind.LMMSE)
 
 
@@ -91,12 +105,12 @@ class StreamStats:
 
 def _statistics(h: np.ndarray, e: np.ndarray, snr_linear: float) -> StreamStats:
     eh = e @ h
-    lam = np.diag(eh).copy()
-    f = eh - np.diag(lam)
-    k_uu = snr_linear * np.diag(lam**2)
-    k_uz = snr_linear * np.diag(lam) @ f.T
-    k_zz = snr_linear * (f @ f.T) + e @ e.T
-    snrs = np.diag(k_uu) / np.diag(k_zz)
+    lam = np.diagonal(eh, axis1=-2, axis2=-1).copy()
+    f = eh - _diag(lam)
+    k_uu = snr_linear * _diag(lam**2)
+    k_uz = snr_linear * _diag(lam) @ _transpose(f)
+    k_zz = snr_linear * (f @ _transpose(f)) + e @ _transpose(e)
+    snrs = np.diagonal(k_uu, axis1=-2, axis2=-1) / np.diagonal(k_zz, axis1=-2, axis2=-1)
     return StreamStats(k_uu, k_uz, k_zz, lam, f, snrs)
 
 
@@ -104,16 +118,33 @@ def stream_statistics(effective: EffectiveChannel, equalizer: Equalizer) -> Stre
     """Statistics of the equalized channel E @ Y for the given equalizer."""
     h = effective.matrix
     e = equalizer.matrix
-    if e.shape[1] != h.shape[0]:
+    if e.shape[-1] != h.shape[-2]:
         raise ValueError(
-            f"equalizer expects {e.shape[1]} observations, channel provides {h.shape[0]}"
+            f"equalizer expects {e.shape[-1]} observations, channel provides {h.shape[-2]}"
         )
     return _statistics(h, e, effective.snr.snr_linear)
 
 
 def second_stage_statistics(effective: EffectiveChannel) -> StreamStats:
     """Statistics of the post-cancellation channel H2 under its matched filter H2^T."""
-    return _statistics(effective.h2, effective.h2.T, effective.snr.snr_linear)
+    return _statistics(effective.h2, _transpose(effective.h2), effective.snr.snr_linear)
+
+
+def cancel_first_group(
+    effective: EffectiveChannel, first_half_symbols: np.ndarray, received: np.ndarray
+) -> np.ndarray:
+    """H2^T (Y - H1 @ u_first): cancel the first stream group, matched-filter the rest.
+
+    ``first_half_symbols`` are the true (genie) or decoded values of the
+    first group; both arguments may carry a trailing batch axis.
+    """
+    return _transpose(effective.h2) @ (received - effective.h1 @ first_half_symbols)
+
+
+def post_sic_streams(first_stage: np.ndarray, second_stage: np.ndarray) -> np.ndarray:
+    """Per-stream values under SIC: the first group from stage 1, the rest from stage 2."""
+    k = np.shape(second_stage)[-1]
+    return np.concatenate([first_stage[..., :k], second_stage], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -156,27 +187,30 @@ def sic_pipeline(
         raise ValueError(
             f"received must have {effective.matrix.shape[0]} rows, got {y.shape[0]}"
         )
-    h1, h2 = effective.h1, effective.h2
-    y_hat = h2.T @ (y - h1 @ u_first)
+    y_hat = cancel_first_group(effective, u_first, y)
 
-    second_stats = _statistics(h2, h2.T, effective.snr.snr_linear)
-    snrs = np.concatenate([first_stats.snr_per_stream[:k], second_stats.snr_per_stream])
+    second_stats = second_stage_statistics(effective)
+    snrs = post_sic_streams(first_stats.snr_per_stream, second_stats.snr_per_stream)
     rate = float(np.mean(c_awgn(snrs)))
     return SicResult(first_stats, second_stats, y_hat, rate)
 
 
-def closed_form_stream_snr(scheme: StreamScheme, gamma: float, snr: SnrSpec) -> float:
+def closed_form_stream_snr(scheme: StreamScheme, gamma, snr: SnrSpec):
     """Per-stream SNR under the universal precoders, independent of theta and phi.
 
-    ZF: (1-g^2)*s;  LMMSE: ((1-g^2)*s^2 + s)/(s+1);  post-SIC: s.
+    ZF: (1-g^2)*s;  LMMSE: ((1-g^2)*s^2 + s)/(s+1);  post-SIC: s.  A float
+    for scalar ``gamma``, an array of its shape otherwise.
     """
-    if not abs(gamma) < 1.0:
+    g = np.asarray(gamma, float)
+    if not np.all(np.abs(g) < 1.0):
         raise ValueError(f"|gamma| must be < 1, got {gamma}")
     s = snr.snr_linear
     if scheme is StreamScheme.ZF:
-        return (1.0 - gamma**2) * s
-    if scheme is StreamScheme.LMMSE:
-        return ((1.0 - gamma**2) * s**2 + s) / (s + 1.0)
-    if scheme is StreamScheme.POST_SIC:
-        return s
-    raise ValueError(f"unknown scheme {scheme}")
+        out = (1.0 - g**2) * s
+    elif scheme is StreamScheme.LMMSE:
+        out = ((1.0 - g**2) * s**2 + s) / (s + 1.0)
+    elif scheme is StreamScheme.POST_SIC:
+        out = np.full(g.shape, s)
+    else:
+        raise ValueError(f"unknown scheme {scheme}")
+    return float(out) if out.ndim == 0 else out

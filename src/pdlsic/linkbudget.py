@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .capacity import inverse_c_compound
-from .channel import SnrSpec
+from .channel import SnrSpec, validate_alpha
 
 FER_COLUMNS = ("snr_db", "fer", "rate_bits_per_real_dim", "label")
 
@@ -167,8 +167,7 @@ def rate_split(alpha: float, snr: SnrSpec, g1_db: float, g2_db: float) -> tuple[
 
     Code 1 carries C((1-a^2)*s/g1) bits per real dimension, code 2 C(s/g2).
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    validate_alpha(alpha)
     if g1_db < 0.0 or g2_db < 0.0:
         raise ValueError("gaps must be non-negative")
     s = snr.snr_linear
@@ -241,8 +240,7 @@ def evaluate_operating_point(
     direct gap measures the horizontal distance to the compound capacity
     curve at the combined rate.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    validate_alpha(alpha)
     s = snr.snr_linear
     snr1_db = 10.0 * math.log10((1.0 - alpha**2) * s)
     snr2_db = snr.snr_db

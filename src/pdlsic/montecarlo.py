@@ -3,10 +3,10 @@
 Execution is block fading: channel parameters are drawn once per block of
 symbols (the physical parameters vary slowly relative to the baud rate) and
 estimators stratify by block.  Per-block seeds are derived up front from the
-master seed, so a report is byte-identical for a fixed config regardless of
-how many workers process the blocks; accumulation sums per-block results in
-block order.  Standard errors come from a per-block jackknife, which
-respects block correlation without distributional assumptions.
+master seed and per-block results are summed in block order, so a report is
+byte-identical for a fixed config.  Standard errors come from a per-block
+jackknife, which respects block correlation without distributional
+assumptions.
 
 Gaussian inputs are the default oracle; PAM exists solely to certify that
 the synthesized streams behave as scalar AWGN channels under a standard
@@ -17,10 +17,8 @@ symbol-by-symbol decision metric, including the cost of decision-directed
 import enum
 import json
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import cycle, islice
 
 import numpy as np
@@ -35,22 +33,20 @@ from .channel import (
     SnrSpec,
     channel_matrix,
     sample_params,
+    validate_alpha,
 )
-from .equalize import lmmse_equalizer, zf_equalizer
-from .precode import effective_channel, precoder_complex, precoder_real
+from .equalize import (
+    StreamScheme,
+    cancel_first_group,
+    closed_form_stream_snr,
+    lmmse_equalizer,
+    post_sic_streams,
+    zf_equalizer,
+)
+from .precode import Precoder, effective_channel, universal_precoder
 
 _PAM_PATTERN = re.compile(r"^PAM\((\d+)\)$")
 _PAM_ORDERS = (2, 4, 8)
-
-
-def worker_count() -> int:
-    """Worker cap from the PDLSIC_THREADS environment variable (default 1)."""
-    raw = os.environ.get("PDLSIC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"PDLSIC_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 class Scheme(enum.Enum):
@@ -112,8 +108,7 @@ class SimConfig:
     report_blocks: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
+        validate_alpha(self.alpha)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.block_size < 1:
@@ -140,12 +135,26 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"config has unknown fields {unknown}")
+
         def take(field, default=None, required=True):
             if field in data:
                 return data[field]
             if required:
                 raise ValueError(f"config is missing required field {field!r}")
             return default
+
+        def integer(field, default=None):
+            value = take(field, default, required=default is None)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+                raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+            return int(value)
+
+        report_blocks = take("report_blocks", False, required=False)
+        if not isinstance(report_blocks, bool):
+            raise ValueError(f"field 'report_blocks' must be true or false, got {report_blocks!r}")
 
         snr_raw = take("snr")
         if isinstance(snr_raw, dict):
@@ -164,11 +173,11 @@ class SimConfig:
                 snr=snr,
                 param_mode=SampleMode.parse(take("param_mode")),
                 scheme=Scheme.parse(take("scheme")),
-                trials=int(take("trials")),
-                seed=int(take("seed")),
+                trials=integer("trials"),
+                seed=integer("seed"),
                 constellation=str(take("constellation", "Gaussian", required=False)),
-                block_size=int(take("block_size", 1000, required=False)),
-                report_blocks=bool(take("report_blocks", False, required=False)),
+                block_size=integer("block_size", 1000),
+                report_blocks=report_blocks,
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid simulation config: {exc}") from exc
@@ -216,38 +225,16 @@ class SimReport:
         def arr(x):
             return None if x is None else np.asarray(x).tolist()
 
-        stages = [
-            {
-                "k_uu": arr(st.k_uu),
-                "k_uz": arr(st.k_uz),
-                "k_zz": arr(st.k_zz),
-                "k_uu_stderr": arr(st.k_uu_stderr),
-                "k_uz_stderr": arr(st.k_uz_stderr),
-                "k_zz_stderr": arr(st.k_zz_stderr),
-                "snr_per_stream": arr(st.snr_per_stream),
-                "snr_stderr": arr(st.snr_stderr),
-            }
-            for st in self.stages
-        ]
-        ser = None
-        if self.ser is not None:
-            ser = {
-                "pam_order": self.ser.pam_order,
-                "ser_genie": arr(self.ser.ser_genie),
-                "ser_genie_stderr": arr(self.ser.ser_genie_stderr),
-                "ser_decision_directed": arr(self.ser.ser_decision_directed),
-                "ser_decision_directed_stderr": arr(self.ser.ser_decision_directed_stderr),
-                "theory": arr(self.ser.theory),
-                "abs_deviation": arr(self.ser.abs_deviation),
-                "dd_over_genie": arr(self.ser.dd_over_genie),
-            }
+        def fields_of(obj):
+            return {f.name: arr(getattr(obj, f.name)) for f in fields(obj)}
+
         return {
             "config": self.config.as_dict(),
-            "stages": stages,
+            "stages": [fields_of(st) for st in self.stages],
             "snr_per_stream": arr(self.snr_per_stream),
             "snr_stderr": arr(self.snr_stderr),
             "rate_bits_per_real_dim": self.rate_bits_per_real_dim,
-            "ser": ser,
+            "ser": None if self.ser is None else fields_of(self.ser),
             "block_snrs": arr(self.block_snrs),
         }
 
@@ -272,15 +259,16 @@ def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:
     return np.clip(idx, 0, order - 1).astype(np.int64)
 
 
-def _simulate_block(config: SimConfig, params: ChannelParams, seed, n_trials: int) -> dict:
+def _simulate_block(
+    config: SimConfig, precoder: Precoder | None, params: ChannelParams, seed, n_trials: int
+) -> dict:
     """One block: fixed channel realization, n_trials independent symbol vectors."""
     rng = np.random.default_rng(seed)
     s = config.snr.snr_linear
     order = pam_order(config.constellation)
 
     if config.scheme.uses_precoder:
-        g = precoder_real() if config.model is Model.REAL else precoder_complex()
-        eff = effective_channel(params, g, config.snr)
+        eff = effective_channel(params, precoder, config.snr)
         h = eff.matrix
         if config.scheme in (Scheme.ZF, Scheme.ZF_SIC):
             e = zf_equalizer(eff).matrix
@@ -313,17 +301,13 @@ def _simulate_block(config: SimConfig, params: ChannelParams, seed, n_trials: in
         "s1_zz": z_tilde @ z_tilde.T,
     }
 
-    err1 = None
-    idx1_hat = None
     if order is not None:
         estimates = (e @ y) / lam[:, None]
         idx1_hat = _pam_slice(estimates, delta, order)
-        err1 = (idx1_hat != idx).sum(axis=1)
-        out["err1"] = err1
+        out["err1"] = (idx1_hat != idx).sum(axis=1)
 
     if config.scheme.is_sic:
-        h1, h2 = h[:, :k], h[:, k:]
-        y_hat = h2.T @ (y - h1 @ u[:k])
+        y_hat = cancel_first_group(eff, u[:k], y)
         u_hat = u[k:]
         z_hat = y_hat - u_hat
         out["s2_uu"] = u_hat @ u_hat.T
@@ -332,7 +316,7 @@ def _simulate_block(config: SimConfig, params: ChannelParams, seed, n_trials: in
         if order is not None:
             out["err2_genie"] = (_pam_slice(y_hat, delta, order) != idx[k:]).sum(axis=1)
             u_dd = delta * (2.0 * idx1_hat[:k] - (order - 1))
-            y_hat_dd = h2.T @ (y - h1 @ u_dd)
+            y_hat_dd = cancel_first_group(eff, u_dd, y)
             out["err2_dd"] = (_pam_slice(y_hat_dd, delta, order) != idx[k:]).sum(axis=1)
     return out
 
@@ -350,7 +334,8 @@ def _jackknife_ratio(num: np.ndarray, den: np.ndarray):
     return estimate, se
 
 
-def _stage_stats(blocks: list[dict], prefix: str, n_total: int) -> EmpiricalStats:
+def _stage_stats(blocks: list[dict], prefix: str) -> tuple[EmpiricalStats, np.ndarray]:
+    """Jackknifed statistics of one stage, and its per-stream SNR in each block."""
     counts = np.array([blk["trials"] for blk in blocks], dtype=float)
     sums = {
         key: np.stack([blk[f"{prefix}_{key}"] for blk in blocks]) for key in ("uu", "uz", "zz")
@@ -360,7 +345,8 @@ def _stage_stats(blocks: list[dict], prefix: str, n_total: int) -> EmpiricalStat
     for key in sums:
         means[key], stderr[key] = _jackknife_ratio(sums[key], denom)
     diag = np.arange(means["uu"].shape[0])
-    snr, snr_se = _jackknife_ratio(sums["uu"][:, diag, diag], sums["zz"][:, diag, diag])
+    signal, noise = sums["uu"][:, diag, diag], sums["zz"][:, diag, diag]
+    snr, snr_se = _jackknife_ratio(signal, noise)
     return EmpiricalStats(
         k_uu=means["uu"],
         k_uz=means["uz"],
@@ -370,44 +356,37 @@ def _stage_stats(blocks: list[dict], prefix: str, n_total: int) -> EmpiricalStat
         k_zz_stderr=stderr["zz"],
         snr_per_stream=snr,
         snr_stderr=snr_se,
-    )
+    ), signal / noise
 
 
 def _ser_stats(config: SimConfig, blocks: list[dict], n_total: int) -> SerStats:
     order = pam_order(config.constellation)
-    k_first = 0
-    err1 = np.stack([blk["err1"] for blk in blocks]).sum(axis=0)
+
+    def errors(key):
+        return np.stack([blk[key] for blk in blocks]).sum(axis=0)
+
+    err1 = errors("err1")
     n_streams = err1.shape[0]
+    k = n_streams // 2
+    ser_genie = err1 / n_total
+    ser_dd = None
     if config.scheme.is_sic:
-        k_first = n_streams // 2
-        err2_genie = np.stack([blk["err2_genie"] for blk in blocks]).sum(axis=0)
-        err2_dd = np.stack([blk["err2_dd"] for blk in blocks]).sum(axis=0)
-        ser_genie = np.concatenate([err1[:k_first], err2_genie]) / n_total
-        ser_dd = np.concatenate([err1[:k_first], err2_dd]) / n_total
-    else:
-        ser_genie = err1 / n_total
-        ser_dd = None
+        ser_genie = post_sic_streams(err1, errors("err2_genie")) / n_total
+        ser_dd = post_sic_streams(err1, errors("err2_dd")) / n_total
     binom_se = lambda p: np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n_total)
 
     theory = None
     deviation = None
     if config.scheme.uses_precoder and config.param_mode is SampleMode.WORST_CASE_EDGE:
-        s = config.snr.snr_linear
-        g2 = config.alpha**2
-        if config.scheme in (Scheme.ZF, Scheme.ZF_SIC):
-            first_snr = (1.0 - g2) * s
-        else:
-            first_snr = ((1.0 - g2) * s**2 + s) / (s + 1.0)
+        first = StreamScheme.ZF if config.scheme in (Scheme.ZF, Scheme.ZF_SIC) else StreamScheme.LMMSE
+        snrs = np.full(n_streams, closed_form_stream_snr(first, config.alpha, config.snr))
         if config.scheme.is_sic:
-            snrs = np.array([first_snr] * k_first + [s] * (n_streams - k_first))
-        else:
-            snrs = np.full(n_streams, first_snr)
+            snrs[k:] = closed_form_stream_snr(StreamScheme.POST_SIC, config.alpha, config.snr)
         theory = np.array([ser_pam_awgn(order, v) for v in snrs])
         deviation = np.abs(ser_genie - theory)
 
     ratio = None
     if ser_dd is not None:
-        k = n_streams // 2
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(ser_genie[k:] > 0, ser_dd[k:] / ser_genie[k:], np.nan)
     return SerStats(
@@ -438,74 +417,34 @@ def run(config: SimConfig) -> SimReport:
         for b in range(config.n_blocks)
     ]
 
-    workers = worker_count()
-    jobs = list(zip(range(config.n_blocks), params, block_seeds, trial_counts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(
-                pool.map(lambda j: _simulate_block(config, j[1], j[2], j[3]), jobs)
-            )
-    else:
-        blocks = [_simulate_block(config, p, sd, t) for _, p, sd, t in jobs]
+    precoder = universal_precoder(config.model) if config.scheme.uses_precoder else None
+    blocks = [
+        _simulate_block(config, precoder, p, sd, t)
+        for p, sd, t in zip(params, block_seeds, trial_counts)
+    ]
 
     n_total = sum(trial_counts)
-    stage1 = _stage_stats(blocks, "s1", n_total)
-    stages = [stage1]
+    stage1, block_snrs = _stage_stats(blocks, "s1")
+    stages = (stage1,)
+    snr, snr_se = stage1.snr_per_stream, stage1.snr_stderr
     if config.scheme.is_sic:
-        stage2 = _stage_stats(blocks, "s2", n_total)
-        stages.append(stage2)
-        k = stage1.snr_per_stream.shape[0] // 2
-        snr = np.concatenate([stage1.snr_per_stream[:k], stage2.snr_per_stream])
-        if stage1.snr_stderr is None:
-            snr_se = None
-        else:
-            snr_se = np.concatenate([stage1.snr_stderr[:k], stage2.snr_stderr])
-    else:
-        snr = stage1.snr_per_stream
-        snr_se = stage1.snr_stderr
-
-    block_snrs = None
-    if config.report_blocks:
-        diag = np.arange(stage1.k_uu.shape[0])
-        per_block = []
-        for blk in blocks:
-            b1 = blk["s1_uu"][diag, diag] / blk["s1_zz"][diag, diag]
-            if config.scheme.is_sic:
-                d2 = np.arange(blk["s2_uu"].shape[0])
-                b2 = blk["s2_uu"][d2, d2] / blk["s2_zz"][d2, d2]
-                per_block.append(np.concatenate([b1[: len(d2)], b2]))
-            else:
-                per_block.append(b1)
-        block_snrs = np.stack(per_block)
+        stage2, second_block_snrs = _stage_stats(blocks, "s2")
+        stages += (stage2,)
+        snr = post_sic_streams(snr, stage2.snr_per_stream)
+        if snr_se is not None:
+            snr_se = post_sic_streams(snr_se, stage2.snr_stderr)
+        block_snrs = post_sic_streams(block_snrs, second_block_snrs)
 
     is_gaussian = pam_order(config.constellation) is None
     rate = float(np.mean(c_awgn(snr))) if is_gaussian else None
     ser = None if is_gaussian else _ser_stats(config, blocks, n_total)
     return SimReport(
         config=config,
-        stages=tuple(stages),
+        stages=stages,
         snr_per_stream=snr,
         snr_stderr=snr_se,
         rate_bits_per_real_dim=rate,
         ser=ser,
-        block_snrs=block_snrs,
+        block_snrs=block_snrs if config.report_blocks else None,
     )
 
-
-def uncoded_ser_experiment(config: SimConfig) -> SimReport:
-    """PAM transmission measuring symbol error rates against scalar AWGN theory.
-
-    For SIC schemes the second stage is evaluated under both genie and
-    decision-directed cancellation on the same symbol and noise draws, so the
-    reported ratio isolates the cost of the genie assumption.
-    """
-    if pam_order(config.constellation) is None:
-        raise ValueError("uncoded_ser_experiment requires a PAM constellation")
-    return run(config)
-
-
-def estimate_mi(report: SimReport) -> float:
-    """Average over streams of C(empirical SNR); needs a Gaussian-input report."""
-    if pam_order(report.config.constellation) is not None:
-        raise ValueError("estimate_mi requires a Gaussian-constellation report")
-    return float(np.mean(c_awgn(report.snr_per_stream)))

@@ -10,6 +10,9 @@ H^T H = [[I, -S], [-S, I]] with S symmetric and S^T S = gamma^2 I.
 The constructors return the fixed column order these properties need.  It is
 load-bearing (it fixes the interference cancellation order), so
 :func:`permute_columns` exists for negative tests only.
+
+Array-valued :class:`~pdlsic.channel.ChannelParams` give a stacked effective
+channel; every function here acts on the last two axes.
 """
 
 import math
@@ -81,6 +84,11 @@ def precoder_complex() -> Precoder:
     return Precoder(_G_COMPLEX.copy(), Model.COMPLEX)
 
 
+def universal_precoder(model: Model) -> Precoder:
+    """The universal precoder of the given model."""
+    return precoder_real() if model is Model.REAL else precoder_complex()
+
+
 def identity_precoder(model: Model) -> Precoder:
     """No precoding.  Negative control: the result is not an orthogonal design."""
     return Precoder(np.eye(2 * model.dim), model)
@@ -109,17 +117,17 @@ class EffectiveChannel:
 
     @property
     def n_streams(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
     @property
     def h1(self) -> np.ndarray:
         """Left column half (first-decoded stream group)."""
-        return self.matrix[:, : self.n_streams // 2]
+        return self.matrix[..., : self.n_streams // 2]
 
     @property
     def h2(self) -> np.ndarray:
         """Right column half (group decoded after cancellation)."""
-        return self.matrix[:, self.n_streams // 2 :]
+        return self.matrix[..., self.n_streams // 2 :]
 
 
 def effective_channel(
@@ -132,11 +140,10 @@ def effective_channel(
             f"precoder is {precoder.model.value}"
         )
     m = channel_matrix(params).entries
-    d = m.shape[0]
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = m
-    block[d:, d:] = m
-    return EffectiveChannel(block @ precoder.entries, params, snr, params.model)
+    d = m.shape[-1]
+    # H = [M @ G[:d]; M @ G[d:]], both halves in one matmul
+    h = m[..., None, :, :] @ precoder.entries.reshape(2, d, 2 * d)
+    return EffectiveChannel(h.reshape(m.shape[:-2] + (2 * d, 2 * d)), params, snr, params.model)
 
 
 def interference_coupling(effective: EffectiveChannel) -> np.ndarray:
@@ -146,8 +153,9 @@ def interference_coupling(effective: EffectiveChannel) -> np.ndarray:
     for the complex model it is extracted numerically from the product.
     """
     k = effective.n_streams // 2
-    hth = effective.matrix.T @ effective.matrix
-    return -hth[:k, k:]
+    h = effective.matrix
+    hth = np.swapaxes(h, -1, -2) @ h
+    return -hth[..., :k, k:]
 
 
 @dataclass(frozen=True)
@@ -168,11 +176,14 @@ class OrthogonalDesignReport:
 def verify_orthogonal_design(
     effective: EffectiveChannel, tol: float = 1e-10
 ) -> OrthogonalDesignReport:
-    """Certify H1^T H1 = H2^T H2 = I and recover the symmetric coupling S."""
-    k = effective.n_streams // 2
-    eye = np.eye(k)
-    dev1 = float(np.abs(effective.h1.T @ effective.h1 - eye).max())
-    dev2 = float(np.abs(effective.h2.T @ effective.h2 - eye).max())
+    """Certify H1^T H1 = H2^T H2 = I and recover the symmetric coupling S.
+
+    On a stack the defects are maxima over all members; S is kept per member.
+    """
+    eye = np.eye(effective.n_streams // 2)
+    h1, h2 = effective.h1, effective.h2
+    dev1 = float(np.abs(np.swapaxes(h1, -1, -2) @ h1 - eye).max())
+    dev2 = float(np.abs(np.swapaxes(h2, -1, -2) @ h2 - eye).max())
     s = interference_coupling(effective)
-    sym = float(np.abs(s - s.T).max())
+    sym = float(np.abs(s - np.swapaxes(s, -1, -2)).max())
     return OrthogonalDesignReport(dev1, dev2, s, sym, tol)

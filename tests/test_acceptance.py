@@ -23,7 +23,7 @@ from pdlsic.equalize import (
     stream_statistics,
     zf_equalizer,
 )
-from pdlsic.montecarlo import Scheme, SimConfig, ser_pam_awgn, uncoded_ser_experiment, run
+from pdlsic.montecarlo import Scheme, SimConfig, ser_pam_awgn, run
 from pdlsic.precode import (
     effective_channel,
     identity_precoder,
@@ -218,7 +218,7 @@ def test_criterion_09_awgn_equivalence(capsys):
             param_mode=SampleMode.WORST_CASE_EDGE, scheme=scheme,
             trials=400_000, seed=seed, constellation="PAM(4)",
         )
-        rep = uncoded_ser_experiment(cfg)
+        rep = run(cfg)
         theory = ser_pam_awgn(4, s)
         assert 1e-3 <= theory <= 1e-1
         post = rep.ser.ser_genie[2:]

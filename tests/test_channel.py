@@ -13,12 +13,9 @@ from pdlsic.channel import (
     SnrSpec,
     alpha_from_pdl_db,
     channel_matrix,
-    channel_matrix_complex,
-    channel_matrix_real,
     pdl_db_from_alpha,
     received_snr,
     sample_params,
-    spawn_seeds,
 )
 
 
@@ -71,6 +68,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             SnrSpec(0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_snr_spec_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            SnrSpec(bad)
+        with pytest.raises(ValueError):
+            SnrSpec.from_db(bad)
+
+    def test_snr_spec_rejects_overflowing_db(self):
+        with pytest.raises(ValueError):
+            SnrSpec.from_db(1e4)
+
     def test_params_normalize_angles(self):
         p = ChannelParams(0.1, -math.pi, 4.0 * math.pi + 0.5)
         assert 0.0 <= p.theta < 2.0 * math.pi
@@ -85,36 +93,36 @@ class TestTypes:
 
 class TestMatrices:
     def test_real_identity(self):
-        m = channel_matrix_real(ChannelParams(0.0, 0.0))
+        m = channel_matrix(ChannelParams(0.0, 0.0))
         assert np.allclose(m.entries, np.eye(2))
         assert m.model is Model.REAL
 
     def test_real_pure_attenuation(self):
         alpha = 0.599
-        m = channel_matrix_real(ChannelParams(alpha, 0.0))
+        m = channel_matrix(ChannelParams(alpha, 0.0))
         expect = np.diag([math.sqrt(1 + alpha), math.sqrt(1 - alpha)])
         assert np.allclose(m.entries, expect, atol=1e-15)
 
     def test_real_squared_singular_values(self):
-        m = channel_matrix_real(ChannelParams(0.5, math.pi / 4))
+        m = channel_matrix(ChannelParams(0.5, math.pi / 4))
         sv2 = np.linalg.svd(m.entries, compute_uv=False) ** 2
         assert np.allclose(sorted(sv2), [0.5, 1.5], atol=1e-12)
 
     def test_complex_identity(self):
-        m = channel_matrix_complex(ChannelParams(0.0, 0.0, 0.0))
+        m = channel_matrix(ChannelParams(0.0, 0.0, 0.0))
         assert np.allclose(m.entries, np.eye(4))
 
     def test_complex_phi_zero_is_block_real(self):
         p = ChannelParams(0.4, 1.1, 0.0)
-        m4 = channel_matrix_complex(p).entries
-        m2 = channel_matrix_real(ChannelParams(0.4, 1.1)).entries
+        m4 = channel_matrix(p).entries
+        m2 = channel_matrix(ChannelParams(0.4, 1.1)).entries
         assert np.allclose(m4[:2, :2], m2, atol=1e-15)
         assert np.allclose(m4[2:, 2:], m2, atol=1e-15)
         assert np.allclose(m4[:2, 2:], 0.0)
         assert np.allclose(m4[2:, :2], 0.0)
 
     def test_complex_squared_singular_values(self):
-        m = channel_matrix_complex(ChannelParams(0.3, 1.0, 2.0))
+        m = channel_matrix(ChannelParams(0.3, 1.0, 2.0))
         sv2 = np.linalg.svd(m.entries, compute_uv=False) ** 2
         assert np.allclose(sorted(sv2), [0.7, 0.7, 1.3, 1.3], atol=1e-10)
 
@@ -131,7 +139,7 @@ class TestMatrices:
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = ChannelParams(rng.uniform(-0.9, 0.9), rng.uniform(0, 7), rng.uniform(0, 7))
-            m = channel_matrix_complex(p).entries
+            m = channel_matrix(p).entries
             assert np.abs(m[:2, :2] - m[2:, 2:]).max() < 1e-12
             assert np.abs(m[:2, 2:] + m[2:, :2]).max() < 1e-12
 
@@ -142,20 +150,14 @@ class TestMatrices:
             h = channel_matrix(p).entries
             assert np.trace(h.T @ h) == pytest.approx(h.shape[0], abs=1e-12)
 
-    def test_model_dispatch_errors(self):
-        with pytest.raises(ValueError):
-            channel_matrix_real(ChannelParams(0.1, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            channel_matrix_complex(ChannelParams(0.1, 0.0))
-
 
 class TestReceivedSnr:
     def test_value_is_snr(self):
-        m = channel_matrix_real(ChannelParams(0.3, 1.2))
+        m = channel_matrix(ChannelParams(0.3, 1.2))
         assert received_snr(m, SnrSpec(20.0)) == pytest.approx(20.0, rel=1e-12)
 
     def test_complex_high_pdl(self):
-        m = channel_matrix_complex(ChannelParams(0.9, 1.2, 0.3))
+        m = channel_matrix(ChannelParams(0.9, 1.2, 0.3))
         assert received_snr(m, SnrSpec(5.0)) == pytest.approx(5.0, rel=1e-12)
 
     def test_invariance_over_grid(self):
@@ -164,7 +166,7 @@ class TestReceivedSnr:
         for g in np.linspace(-0.9, 0.9, 10):
             for t in np.linspace(0, 6.2, 10):
                 for f in np.linspace(0, 6.2, 10):
-                    m = channel_matrix_complex(ChannelParams(g, t, f))
+                    m = channel_matrix(ChannelParams(g, t, f))
                     values.append(received_snr(m, snr))
         values = np.array(values)
         assert np.abs(values / 7.3 - 1.0).max() < 1e-10
@@ -216,8 +218,3 @@ class TestSampling:
     def test_random_modes_require_count(self):
         with pytest.raises(ValueError):
             list(sample_params(PdlClass(0.3), SampleMode.WORST_CASE_EDGE, Model.REAL))
-
-    def test_spawn_seeds_distinct(self):
-        seeds = spawn_seeds(123, 8)
-        streams = [np.random.default_rng(s).random() for s in seeds]
-        assert len(set(streams)) == 8

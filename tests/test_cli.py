@@ -65,6 +65,22 @@ class TestCurves:
         assert code == 2
         assert "error" in err
 
+    def test_rows_never_pass_max(self, capsys):
+        code, out, _ = run_cli(
+            ["curves", "--alpha", "0.5", "--snr-db-max", "1", "--snr-db-step", "0.6"], capsys
+        )
+        assert code == 0
+        data = np.genfromtxt(out.splitlines(), delimiter=",", names=True)
+        assert list(data["snr_db"]) == [0.0, 0.6]
+
+    @pytest.mark.parametrize("step, rows", [("0.25", 121), ("0.001", 30001)])
+    def test_grid_ends_at_max(self, tmp_path, capsys, step, rows):
+        out = tmp_path / "curves.csv"
+        run_cli(["curves", "--alpha", "0.5", "--snr-db-step", step, "--out", str(out)], capsys)
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        assert len(data) == rows
+        assert data["snr_db"][-1] == 30.0
+
     def test_alpha_flags_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["curves", "--alpha", "0.5", "--pdl-db", "6"])
@@ -159,6 +175,29 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_alpha_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "means"])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "worst-case", "--n-beta", "1"],
+            ["--suite", "star-property", "--n-theta", "0"],
+            ["--suite", "star-property", "--n-phi", "0"],
+            ["--suite", "means", "--n-gamma", "0"],
+            ["--suite", "orthogonality", "--draws", "0"],
+            ["--suite", "snr-closed-forms", "--draws", "-3"],
+        ],
+    )
+    def test_empty_grid_or_sample_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--alpha", "0.599", *argv])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
@@ -235,6 +274,32 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--config", str(cfg_path)], capsys)
         assert code == 2
         assert "2" in err  # line number of the defect
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ({"blocksize": 10}, "blocksize"),
+            ({"report_blocks": "false"}, "report_blocks"),
+            ({"trials": 1.7}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"seed": 0.5}, "seed"),
+            ({"block_size": "10"}, "block_size"),
+            ({"snr": {"snr_linear": float("inf")}}, "snr_linear"),
+            ({"snr": {"snr_db": float("nan")}}, "snr_linear"),
+        ],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, override, named):
+        cfg = {
+            "model": "Real", "alpha": 0.1, "snr": {"snr_linear": 5},
+            "param_mode": "WorstCaseEdge", "scheme": "ZF", "trials": 10, "seed": 0,
+        }
+        cfg.update(override)
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(["simulate", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and named in err
 
     def test_bundled_example_config_parses(self, tmp_path, capsys):
         # the shipped config at configs/lmmse_sic_6db.json, scaled down
