@@ -12,7 +12,6 @@ it from the shell.
 """
 
 from .capacity import (
-    CapacityReport,
     MeanIdentityReport,
     MiTerms,
     PdlPenalties,
@@ -24,7 +23,6 @@ from .capacity import (
     c_nonjoint,
     c_parallel,
     c_parallel_approx,
-    capacity_report,
     inverse_c_compound,
     mean_identity_check,
     mi_terms,
@@ -33,7 +31,6 @@ from .capacity import (
     worst_case_search,
 )
 from .channel import (
-    ChannelMatrix,
     ChannelParams,
     Model,
     PdlClass,
@@ -42,19 +39,17 @@ from .channel import (
     alpha_from_pdl_db,
     channel_matrix,
     pdl_db_from_alpha,
-    received_snr,
     sample_params,
     validate_alpha,
 )
 from .equalize import (
-    Equalizer,
-    EqualizerKind,
     SicResult,
     SingularChannelError,
     StreamScheme,
     StreamStats,
     cancel_first_group,
     closed_form_stream_snr,
+    first_stage_equalizer,
     lmmse_equalizer,
     post_sic_streams,
     second_stage_statistics,
@@ -73,7 +68,6 @@ from .linkbudget import (
     compose_fer,
     compose_gap,
     evaluate_operating_point,
-    rate_split,
 )
 from .montecarlo import (
     EmpiricalStats,

@@ -112,36 +112,6 @@ def penalties_db(alpha: float) -> PdlPenalties:
 
 
 @dataclass(frozen=True)
-class CapacityReport:
-    """All capacity figures for one (alpha, SNR) point, per real dimension."""
-
-    snr: SnrSpec
-    alpha: float
-    c_awgn: float
-    c_compound: float
-    c_compound_approx: float
-    c_parallel: float
-    c_parallel_approx: float
-    c_nonjoint: float
-    penalties_db: PdlPenalties
-
-
-def capacity_report(alpha: float, snr: SnrSpec) -> CapacityReport:
-    s = snr.snr_linear
-    return CapacityReport(
-        snr=snr,
-        alpha=alpha,
-        c_awgn=c_awgn(s),
-        c_compound=float(c_compound(alpha, s)),
-        c_compound_approx=float(c_compound_approx(alpha, s)),
-        c_parallel=float(c_parallel(alpha, s)),
-        c_parallel_approx=float(c_parallel_approx(alpha, s)),
-        c_nonjoint=float(c_nonjoint(alpha, s)),
-        penalties_db=penalties_db(alpha),
-    )
-
-
-@dataclass(frozen=True)
 class MiTerms:
     """Chain-rule mutual information terms for one channel realization, in bits."""
 

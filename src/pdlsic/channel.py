@@ -130,6 +130,15 @@ class SnrSpec:
             raise ValueError(f"snr_db must be finite, got {snr_db}") from None
 
 
+def _wrap_angle(x):
+    """``x`` mod 2*pi in [0, 2*pi); a tiny negative ``x`` rounds to exactly 2*pi, taken as 0."""
+    r = x % TWO_PI
+    if isinstance(r, np.ndarray):
+        r[r == TWO_PI] = 0.0  # in place: a sheet-sized temporary raised the grid oracle peak RSS by 4.5 MiB
+        return r
+    return 0.0 if r == TWO_PI else r
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """One member of the compound class, or a stack of members.
@@ -145,24 +154,16 @@ class ChannelParams:
     def __post_init__(self):
         if not (np.abs(self.gamma) < 1.0).all():
             raise ValueError(f"|gamma| must be < 1, got {self.gamma}")
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
+        object.__setattr__(self, "theta", _wrap_angle(self.theta))
         if self.phi is not None:
-            object.__setattr__(self, "phi", self.phi % TWO_PI)
+            object.__setattr__(self, "phi", _wrap_angle(self.phi))
 
     @property
     def model(self) -> Model:
         return Model.REAL if self.phi is None else Model.COMPLEX
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Dense single-use channel matrix with its model tag."""
-
-    entries: np.ndarray
-    model: Model
-
-
-def channel_matrix(params: ChannelParams) -> ChannelMatrix:
+def channel_matrix(params: ChannelParams) -> np.ndarray:
     """Single-use matrix D_gamma @ R_theta (real) or D_gamma @ R_theta @ B_phi (complex).
 
     Written entry by entry, so array-valued params give a ``(..., d, d)``
@@ -186,19 +187,7 @@ def channel_matrix(params: ChannelParams) -> ChannelMatrix:
         ]
     entries = np.array(rows)  # (d, d, *batch); move the matrix axes last
     entries = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
-    return ChannelMatrix(np.ascontiguousarray(entries), params.model)
-
-
-def received_snr(matrix: ChannelMatrix, snr: SnrSpec) -> float:
-    """Total received signal power over total noise power under a balanced input.
-
-    Equals trace(H^T H) * snr_linear / n, which is snr_linear for every
-    (gamma, theta, phi) because the squared singular values {1+gamma,
-    1-gamma} average to 1.
-    """
-    h = matrix.entries
-    n = h.shape[0]
-    return float(np.trace(h.T @ h)) * snr.snr_linear / n
+    return np.ascontiguousarray(entries)
 
 
 def sample_params(

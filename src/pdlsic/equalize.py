@@ -41,24 +41,12 @@ class SingularChannelError(ValueError):
     """Channel too ill-conditioned to invert (|gamma| at or beyond 1)."""
 
 
-class EqualizerKind(enum.Enum):
-    ZF = "ZF"
-    LMMSE = "LMMSE"
-    MATCHED_SECOND_STAGE = "MatchedSecondStage"
-
-
 class StreamScheme(enum.Enum):
-    """Schemes with closed-form per-stream SNRs under the universal precoders."""
+    """First-stage ZF or LMMSE, or matched filtering after SIC; each has a closed-form SNR."""
 
     ZF = "ZF"
     LMMSE = "LMMSE"
     POST_SIC = "PostSIC"
-
-
-@dataclass(frozen=True)
-class Equalizer:
-    matrix: np.ndarray
-    kind: EqualizerKind
 
 
 def _transpose(x: np.ndarray) -> np.ndarray:
@@ -73,22 +61,30 @@ def _diag(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def zf_equalizer(effective: EffectiveChannel) -> Equalizer:
+def zf_equalizer(effective: EffectiveChannel) -> np.ndarray:
     """E = H^-1; exists whenever |gamma| < 1."""
     h = effective.matrix
     if (np.linalg.cond(h) > CONDITION_LIMIT).any():
         raise SingularChannelError(
             f"effective channel condition number exceeds {CONDITION_LIMIT:g}"
         )
-    return Equalizer(np.linalg.inv(h), EqualizerKind.ZF)
+    return np.linalg.inv(h)
 
 
-def lmmse_equalizer(effective: EffectiveChannel) -> Equalizer:
+def lmmse_equalizer(effective: EffectiveChannel) -> np.ndarray:
     """E = H^T (H H^T + I/SNR)^-1 for the channel's SNR context."""
     h = effective.matrix
     ht = _transpose(h)
-    e = ht @ np.linalg.inv(h @ ht + np.eye(h.shape[-2]) / effective.snr.snr_linear)
-    return Equalizer(e, EqualizerKind.LMMSE)
+    return ht @ np.linalg.inv(h @ ht + np.eye(h.shape[-2]) / effective.snr.snr_linear)
+
+
+def first_stage_equalizer(effective: EffectiveChannel, scheme: StreamScheme) -> np.ndarray:
+    """The linear equalizer that ``scheme`` names; only ZF and LMMSE are first stages."""
+    if scheme is StreamScheme.ZF:
+        return zf_equalizer(effective)
+    if scheme is StreamScheme.LMMSE:
+        return lmmse_equalizer(effective)
+    raise ValueError(f"first stage must be ZF or LMMSE, got {scheme}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +110,9 @@ def _statistics(h: np.ndarray, e: np.ndarray, snr_linear: float) -> StreamStats:
     return StreamStats(k_uu, k_uz, k_zz, lam, f, snrs)
 
 
-def stream_statistics(effective: EffectiveChannel, equalizer: Equalizer) -> StreamStats:
-    """Statistics of the equalized channel E @ Y for the given equalizer."""
+def stream_statistics(effective: EffectiveChannel, e: np.ndarray) -> StreamStats:
+    """Statistics of the equalized channel E @ Y for the equalizer matrix ``e``."""
     h = effective.matrix
-    e = equalizer.matrix
     if e.shape[-1] != h.shape[-2]:
         raise ValueError(
             f"equalizer expects {e.shape[-1]} observations, channel provides {h.shape[-2]}"
@@ -159,7 +154,7 @@ class SicResult:
 
 def sic_pipeline(
     effective: EffectiveChannel,
-    first_stage_kind: EqualizerKind,
+    first_stage: StreamScheme,
     first_half_symbols: np.ndarray,
     received: np.ndarray,
 ) -> SicResult:
@@ -170,13 +165,7 @@ def sic_pipeline(
     Returns H2^T (Y - H1 @ u_first) along with exact statistics for both
     stages; the achievable rate averages C(SNR_i) over all streams.
     """
-    if first_stage_kind is EqualizerKind.ZF:
-        first_eq = zf_equalizer(effective)
-    elif first_stage_kind is EqualizerKind.LMMSE:
-        first_eq = lmmse_equalizer(effective)
-    else:
-        raise ValueError("first stage must be ZF or LMMSE")
-    first_stats = stream_statistics(effective, first_eq)
+    first_stats = stream_statistics(effective, first_stage_equalizer(effective, first_stage))
 
     k = effective.n_streams // 2
     u_first = np.asarray(first_half_symbols, float)

@@ -136,10 +136,6 @@ class FerTable:
         lo, hi, w = self._locate(snr_db)
         return self.points[hi if w > 0.5 else lo].rate_bits_per_real_dim
 
-    @property
-    def span_db(self) -> tuple[float, float]:
-        return self.points[0].snr_db, self.points[-1].snr_db
-
 
 def compose_gap(g1_db: float, g2_db: float) -> float:
     """Overall dB gap to the compound capacity: the mean of the per-code gaps."""
@@ -160,22 +156,6 @@ def compose_fer(fer1_at_derated_snr: float, fer2_at_snr: float) -> FerCompositio
     if not (0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0):
         raise ValueError("FER inputs must lie in [0, 1]")
     return FerComposition(exact=f1 + f2 - f1 * f2, bound=min(f1 + f2, 1.0))
-
-
-def rate_split(alpha: float, snr: SnrSpec, g1_db: float, g2_db: float) -> tuple[float, float]:
-    """Rates of the two required codes given their gaps to capacity.
-
-    Code 1 carries C((1-a^2)*s/g1) bits per real dimension, code 2 C(s/g2).
-    """
-    validate_alpha(alpha)
-    if g1_db < 0.0 or g2_db < 0.0:
-        raise ValueError("gaps must be non-negative")
-    s = snr.snr_linear
-    g1 = 10.0 ** (g1_db / 10.0)
-    g2 = 10.0 ** (g2_db / 10.0)
-    rate1 = 0.5 * math.log2(1.0 + (1.0 - alpha**2) * s / g1)
-    rate2 = 0.5 * math.log2(1.0 + s / g2)
-    return rate1, rate2
 
 
 @dataclass(frozen=True)

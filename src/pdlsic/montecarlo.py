@@ -39,9 +39,8 @@ from .equalize import (
     StreamScheme,
     cancel_first_group,
     closed_form_stream_snr,
-    lmmse_equalizer,
+    first_stage_equalizer,
     post_sic_streams,
-    zf_equalizer,
 )
 from .precode import Precoder, effective_channel, universal_precoder
 
@@ -63,6 +62,11 @@ class Scheme(enum.Enum):
     @property
     def uses_precoder(self) -> bool:
         return self is not Scheme.NOPRECODE_ZF
+
+    @property
+    def first_stage(self) -> StreamScheme:
+        """The linear equalizer of the first (or only) stage."""
+        return StreamScheme.LMMSE if self in (Scheme.LMMSE, Scheme.LMMSE_SIC) else StreamScheme.ZF
 
     @classmethod
     def parse(cls, name: str) -> "Scheme":
@@ -157,15 +161,18 @@ class SimConfig:
             raise ValueError(f"field 'report_blocks' must be true or false, got {report_blocks!r}")
 
         snr_raw = take("snr")
-        if isinstance(snr_raw, dict):
-            if "snr_db" in snr_raw:
-                snr = SnrSpec.from_db(float(snr_raw["snr_db"]))
-            elif "snr_linear" in snr_raw:
-                snr = SnrSpec(float(snr_raw["snr_linear"]))
-            else:
-                raise ValueError("field 'snr' must contain 'snr_db' or 'snr_linear'")
-        else:
+        if not isinstance(snr_raw, dict):
             snr = SnrSpec(float(snr_raw))
+        elif "snr_linear" in snr_raw:
+            # the exact value; an echoed snr_db is derived from it and only cross-checked
+            snr = SnrSpec(float(snr_raw["snr_linear"]))
+            if "snr_db" in snr_raw and not abs(float(snr_raw["snr_db"]) - snr.snr_db) <= 1e-9:
+                raise ValueError(f"field 'snr' has snr_db {snr_raw['snr_db']}, but snr_linear "
+                                 f"{snr.snr_linear} is {snr.snr_db} dB")
+        elif "snr_db" in snr_raw:
+            snr = SnrSpec.from_db(float(snr_raw["snr_db"]))
+        else:
+            raise ValueError("field 'snr' must contain 'snr_db' or 'snr_linear'")
         try:
             return cls(
                 model=Model.parse(take("model")),
@@ -243,9 +250,10 @@ class SimReport:
 
 
 def _block_params(config: SimConfig, seed) -> list[ChannelParams]:
+    """One parameter point per block; Grid runs cycle the lattice, drawing only what they use."""
     pdl = PdlClass(config.alpha)
     if config.param_mode is SampleMode.GRID:
-        lattice = list(sample_params(pdl, SampleMode.GRID, config.model))
+        lattice = sample_params(pdl, SampleMode.GRID, config.model)
         return list(islice(cycle(lattice), config.n_blocks))
     return list(
         sample_params(
@@ -270,12 +278,9 @@ def _simulate_block(
     if config.scheme.uses_precoder:
         eff = effective_channel(params, precoder, config.snr)
         h = eff.matrix
-        if config.scheme in (Scheme.ZF, Scheme.ZF_SIC):
-            e = zf_equalizer(eff).matrix
-        else:
-            e = lmmse_equalizer(eff).matrix
+        e = first_stage_equalizer(eff, config.scheme.first_stage)
     else:
-        h = channel_matrix(params).entries
+        h = channel_matrix(params)
         e = np.linalg.inv(h)
     m, n = h.shape
     k = n // 2
@@ -378,8 +383,7 @@ def _ser_stats(config: SimConfig, blocks: list[dict], n_total: int) -> SerStats:
     theory = None
     deviation = None
     if config.scheme.uses_precoder and config.param_mode is SampleMode.WORST_CASE_EDGE:
-        first = StreamScheme.ZF if config.scheme in (Scheme.ZF, Scheme.ZF_SIC) else StreamScheme.LMMSE
-        snrs = np.full(n_streams, closed_form_stream_snr(first, config.alpha, config.snr))
+        snrs = np.full(n_streams, closed_form_stream_snr(config.scheme.first_stage, config.alpha, config.snr))
         if config.scheme.is_sic:
             snrs[k:] = closed_form_stream_snr(StreamScheme.POST_SIC, config.alpha, config.snr)
         theory = np.array([ser_pam_awgn(order, v) for v in snrs])

@@ -139,7 +139,7 @@ def effective_channel(
             f"model mismatch: params are {params.model.value}, "
             f"precoder is {precoder.model.value}"
         )
-    m = channel_matrix(params).entries
+    m = channel_matrix(params)
     d = m.shape[-1]
     # H = [M @ G[:d]; M @ G[d:]], both halves in one matmul
     h = m[..., None, :, :] @ precoder.entries.reshape(2, d, 2 * d)

@@ -99,11 +99,6 @@ class TestCompound:
                 rate = float(capacity.c_compound(alpha, s))
                 assert capacity.inverse_c_compound(alpha, rate) == pytest.approx(s, rel=1e-10)
 
-    def test_report_fields(self):
-        rep = capacity.capacity_report(0.599, SnrSpec(20.0))
-        assert rep.c_nonjoint <= rep.c_parallel <= rep.c_compound <= rep.c_awgn
-        assert rep.penalties_db.sic_db == pytest.approx(0.965, abs=1e-3)
-
 
 class TestPenalties:
     def test_reference_triple(self):

@@ -14,7 +14,6 @@ from pdlsic.channel import (
     alpha_from_pdl_db,
     channel_matrix,
     pdl_db_from_alpha,
-    received_snr,
     sample_params,
 )
 
@@ -85,6 +84,12 @@ class TestTypes:
         assert 0.0 <= p.phi < 2.0 * math.pi
         assert p.model is Model.COMPLEX
         assert ChannelParams(0.1, 0.3).model is Model.REAL
+        # a tiny negative angle rounds to exactly 2*pi under % 2*pi; it must land on 0
+        tiny = ChannelParams(0.1, -1e-17, -1e-17)
+        assert tiny.theta == tiny.phi == 0.0
+        stack = ChannelParams(np.array([0.1, 0.2]), np.array([-1e-17, 1.0]), np.array([0.5, -1e-17]))
+        assert np.array_equal(stack.theta, [0.0, 1.0])
+        assert np.array_equal(stack.phi, [0.5, 0.0])
 
     def test_params_gamma_domain(self):
         with pytest.raises(ValueError):
@@ -94,28 +99,28 @@ class TestTypes:
 class TestMatrices:
     def test_real_identity(self):
         m = channel_matrix(ChannelParams(0.0, 0.0))
-        assert np.allclose(m.entries, np.eye(2))
-        assert m.model is Model.REAL
+        assert np.allclose(m, np.eye(2))
+        assert m.shape == (2, 2)
 
     def test_real_pure_attenuation(self):
         alpha = 0.599
         m = channel_matrix(ChannelParams(alpha, 0.0))
         expect = np.diag([math.sqrt(1 + alpha), math.sqrt(1 - alpha)])
-        assert np.allclose(m.entries, expect, atol=1e-15)
+        assert np.allclose(m, expect, atol=1e-15)
 
     def test_real_squared_singular_values(self):
         m = channel_matrix(ChannelParams(0.5, math.pi / 4))
-        sv2 = np.linalg.svd(m.entries, compute_uv=False) ** 2
+        sv2 = np.linalg.svd(m, compute_uv=False) ** 2
         assert np.allclose(sorted(sv2), [0.5, 1.5], atol=1e-12)
 
     def test_complex_identity(self):
         m = channel_matrix(ChannelParams(0.0, 0.0, 0.0))
-        assert np.allclose(m.entries, np.eye(4))
+        assert np.allclose(m, np.eye(4))
 
     def test_complex_phi_zero_is_block_real(self):
         p = ChannelParams(0.4, 1.1, 0.0)
-        m4 = channel_matrix(p).entries
-        m2 = channel_matrix(ChannelParams(0.4, 1.1)).entries
+        m4 = channel_matrix(p)
+        m2 = channel_matrix(ChannelParams(0.4, 1.1))
         assert np.allclose(m4[:2, :2], m2, atol=1e-15)
         assert np.allclose(m4[2:, 2:], m2, atol=1e-15)
         assert np.allclose(m4[:2, 2:], 0.0)
@@ -123,7 +128,7 @@ class TestMatrices:
 
     def test_complex_squared_singular_values(self):
         m = channel_matrix(ChannelParams(0.3, 1.0, 2.0))
-        sv2 = np.linalg.svd(m.entries, compute_uv=False) ** 2
+        sv2 = np.linalg.svd(m, compute_uv=False) ** 2
         assert np.allclose(sorted(sv2), [0.7, 0.7, 1.3, 1.3], atol=1e-10)
 
     def test_singular_values_across_draws(self):
@@ -131,7 +136,7 @@ class TestMatrices:
         for _ in range(200):
             g = rng.uniform(-0.95, 0.95)
             p = ChannelParams(g, rng.uniform(0, 7), rng.uniform(0, 7))
-            sv2 = np.linalg.svd(channel_matrix(p).entries, compute_uv=False) ** 2
+            sv2 = np.linalg.svd(channel_matrix(p), compute_uv=False) ** 2
             assert np.allclose(sorted(sv2), sorted([1 - g, 1 - g, 1 + g, 1 + g]), atol=1e-10)
 
     def test_real_representation_pairing(self):
@@ -139,7 +144,7 @@ class TestMatrices:
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = ChannelParams(rng.uniform(-0.9, 0.9), rng.uniform(0, 7), rng.uniform(0, 7))
-            m = channel_matrix(p).entries
+            m = channel_matrix(p)
             assert np.abs(m[:2, :2] - m[2:, 2:]).max() < 1e-12
             assert np.abs(m[:2, 2:] + m[2:, :2]).max() < 1e-12
 
@@ -147,29 +152,17 @@ class TestMatrices:
         rng = np.random.default_rng(5)
         for _ in range(100):
             p = ChannelParams(rng.uniform(-0.99, 0.99), rng.uniform(0, 7), rng.uniform(0, 7))
-            h = channel_matrix(p).entries
+            h = channel_matrix(p)
             assert np.trace(h.T @ h) == pytest.approx(h.shape[0], abs=1e-12)
 
-
-class TestReceivedSnr:
-    def test_value_is_snr(self):
-        m = channel_matrix(ChannelParams(0.3, 1.2))
-        assert received_snr(m, SnrSpec(20.0)) == pytest.approx(20.0, rel=1e-12)
-
-    def test_complex_high_pdl(self):
-        m = channel_matrix(ChannelParams(0.9, 1.2, 0.3))
-        assert received_snr(m, SnrSpec(5.0)) == pytest.approx(5.0, rel=1e-12)
-
-    def test_invariance_over_grid(self):
-        snr = SnrSpec(7.3)
-        values = []
-        for g in np.linspace(-0.9, 0.9, 10):
-            for t in np.linspace(0, 6.2, 10):
-                for f in np.linspace(0, 6.2, 10):
-                    m = channel_matrix(ChannelParams(g, t, f))
-                    values.append(received_snr(m, snr))
-        values = np.array(values)
-        assert np.abs(values / 7.3 - 1.0).max() < 1e-10
+    def test_energy_preservation_on_stacks(self):
+        # trace(H^T H) = d for every member of a (gamma, theta, phi) lattice stack
+        g, t, f = np.meshgrid(np.linspace(-0.9, 0.9, 10), np.linspace(0, 6.2, 10),
+                              np.linspace(0, 6.2, 10), indexing="ij")
+        for h in (channel_matrix(ChannelParams(g, t, f)), channel_matrix(ChannelParams(g, t))):
+            assert h.shape == g.shape + (h.shape[-1],) * 2
+            energy = np.trace(np.swapaxes(h, -1, -2) @ h, axis1=-2, axis2=-1)
+            assert np.abs(energy / h.shape[-1] - 1.0).max() < 1e-10
 
 
 class TestSampling:

@@ -286,6 +286,7 @@ class TestSimulate:
             ({"block_size": "10"}, "block_size"),
             ({"snr": {"snr_linear": float("inf")}}, "snr_linear"),
             ({"snr": {"snr_db": float("nan")}}, "snr_linear"),
+            ({"snr": {"snr_linear": 5, "snr_db": 7.0}}, "snr_db"),
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, override, named):

@@ -8,7 +8,6 @@ import pytest
 from pdlsic.capacity import c_awgn, c_compound
 from pdlsic.channel import ChannelParams, Model, SnrSpec
 from pdlsic.equalize import (
-    EqualizerKind,
     SingularChannelError,
     StreamScheme,
     closed_form_stream_snr,
@@ -41,12 +40,12 @@ def universal_precoder(model):
 class TestZf:
     def test_inverts_channel(self):
         eff = effective_channel(ChannelParams(0.4, 1.3), precoder_real(), SNR)
-        e = zf_equalizer(eff).matrix
+        e = zf_equalizer(eff)
         assert np.abs(e @ eff.matrix - np.eye(4)).max() < 1e-10
 
     def test_identity_channel_identity_equalizer(self):
         eff = effective_channel(ChannelParams(0.0, 0.0), identity_precoder(Model.REAL), SNR)
-        assert np.allclose(zf_equalizer(eff).matrix, np.eye(4), atol=1e-14)
+        assert np.allclose(zf_equalizer(eff), np.eye(4), atol=1e-14)
 
     def test_noise_covariance_closed_form(self):
         # with the built-in real-model precoder: diagonal 1/(1-g^2), coupling in the
@@ -90,8 +89,8 @@ class TestLmmse:
         params = ChannelParams(0.4, 0.7)
         big = SnrSpec(1e8)
         eff = effective_channel(params, precoder_real(), big)
-        e_lmmse = lmmse_equalizer(eff).matrix
-        e_zf = zf_equalizer(eff).matrix
+        e_lmmse = lmmse_equalizer(eff)
+        e_zf = zf_equalizer(eff)
         assert np.abs(e_lmmse - e_zf).max() < 1e-6
 
     def test_signal_covariance_closed_form(self):
@@ -141,9 +140,7 @@ class TestStreamStatistics:
             eff = EffectiveChannel(h, ChannelParams(0.0, 0.0), SNR, Model.REAL)
             stats = stream_statistics(eff, lmmse_equalizer(eff))
             assert np.abs(np.diag(stats.k_uz)).max() < 1e-12
-            from pdlsic.equalize import Equalizer
-
-            stats2 = stream_statistics(eff, Equalizer(e, EqualizerKind.ZF))
+            stats2 = stream_statistics(eff, e)
             assert np.abs(np.diag(stats2.k_uz)).max() < 1e-12
 
     def test_psd_and_snr_ratio(self):
@@ -163,10 +160,8 @@ class TestStreamStatistics:
         h = rng.normal(size=(4, 4))
         e = rng.normal(size=(4, 4)) * 0.5
         s = 4.0
-        from pdlsic.equalize import Equalizer
-
         eff = EffectiveChannel(h, ChannelParams(0.0, 0.0), SnrSpec(s), Model.REAL)
-        stats = stream_statistics(eff, Equalizer(e, EqualizerKind.ZF))
+        stats = stream_statistics(eff, e)
         n_trials = 1_000_000
         u = math.sqrt(s) * rng.standard_normal((4, n_trials))
         z = rng.standard_normal((4, n_trials))
@@ -182,11 +177,9 @@ class TestStreamStatistics:
         assert np.all(np.abs(k_zz_emp - stats.k_zz) < 3.5 * se)
 
     def test_dimension_mismatch(self):
-        from pdlsic.equalize import Equalizer
-
         eff = effective_channel(ChannelParams(0.2, 0.1), precoder_real(), SNR)
         with pytest.raises(ValueError):
-            stream_statistics(eff, Equalizer(np.eye(6), EqualizerKind.ZF))
+            stream_statistics(eff, np.eye(6))
 
 
 class TestSicPipeline:
@@ -198,7 +191,7 @@ class TestSicPipeline:
         u = math.sqrt(SNR.snr_linear) * rng.standard_normal((8, 16))
         z = rng.standard_normal((8, 16))
         y = eff.matrix @ u + z
-        result = sic_pipeline(eff, EqualizerKind.LMMSE, u[:4], y)
+        result = sic_pipeline(eff, StreamScheme.LMMSE, u[:4], y)
         assert np.abs(result.second_stage_output - (u[4:] + eff.h2.T @ z)).max() < 1e-10
 
     def test_second_stage_exactly_white(self):
@@ -208,7 +201,7 @@ class TestSicPipeline:
                 eff = effective_channel(random_params(rng, model), universal_precoder(model), SNR)
                 k = eff.n_streams // 2
                 res = sic_pipeline(
-                    eff, EqualizerKind.ZF, np.zeros(k), np.zeros(eff.n_streams)
+                    eff, StreamScheme.ZF, np.zeros(k), np.zeros(eff.n_streams)
                 )
                 assert np.abs(res.second_stage.k_zz - np.eye(k)).max() < 1e-10
                 assert np.abs(res.second_stage.k_uz).max() < 1e-12
@@ -216,13 +209,13 @@ class TestSicPipeline:
 
     def test_no_pdl_means_no_loss(self):
         eff = effective_channel(ChannelParams(0.0, 0.7), precoder_real(), SNR)
-        res = sic_pipeline(eff, EqualizerKind.ZF, np.zeros(2), np.zeros(4))
+        res = sic_pipeline(eff, StreamScheme.ZF, np.zeros(2), np.zeros(4))
         assert np.allclose(res.first_stage.snr_per_stream, SNR.snr_linear, rtol=1e-10)
 
     def test_first_stage_zf_worst_case(self):
         alpha = 0.599
         eff = effective_channel(ChannelParams(alpha, 1.1), precoder_real(), SNR)
-        res = sic_pipeline(eff, EqualizerKind.ZF, np.zeros(2), np.zeros(4))
+        res = sic_pipeline(eff, StreamScheme.ZF, np.zeros(2), np.zeros(4))
         floor = (1 - alpha**2) * 20.0
         assert np.allclose(res.first_stage.snr_per_stream, floor, rtol=1e-10)
         assert floor == pytest.approx(12.824, abs=1e-3)
@@ -233,7 +226,7 @@ class TestSicPipeline:
                 eff = effective_channel(
                     ChannelParams(alpha, 0.77), precoder_real(), SnrSpec(s)
                 )
-                res = sic_pipeline(eff, EqualizerKind.LMMSE, np.zeros(2), np.zeros(4))
+                res = sic_pipeline(eff, StreamScheme.LMMSE, np.zeros(2), np.zeros(4))
                 assert res.achievable_rate_bits_per_real_dim == pytest.approx(
                     float(c_compound(alpha, s)), abs=1e-12
                 )
@@ -256,11 +249,11 @@ class TestSicPipeline:
     def test_dimension_checks(self):
         eff = effective_channel(ChannelParams(0.2, 0.1), precoder_real(), SNR)
         with pytest.raises(ValueError):
-            sic_pipeline(eff, EqualizerKind.ZF, np.zeros(3), np.zeros(4))
+            sic_pipeline(eff, StreamScheme.ZF, np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError):
-            sic_pipeline(eff, EqualizerKind.ZF, np.zeros(2), np.zeros(5))
+            sic_pipeline(eff, StreamScheme.ZF, np.zeros(2), np.zeros(5))
         with pytest.raises(ValueError):
-            sic_pipeline(eff, EqualizerKind.MATCHED_SECOND_STAGE, np.zeros(2), np.zeros(4))
+            sic_pipeline(eff, StreamScheme.POST_SIC, np.zeros(2), np.zeros(4))
 
 
 class TestClosedForms:

@@ -14,7 +14,6 @@ from pdlsic.linkbudget import (
     compose_fer,
     compose_gap,
     evaluate_operating_point,
-    rate_split,
 )
 
 
@@ -39,7 +38,7 @@ class TestFerTable:
         )
         table = FerTable.from_csv(path)
         assert len(table.points) == 2
-        assert table.span_db == (10.0, 12.0)
+        assert (table.points[0].snr_db, table.points[-1].snr_db) == (10.0, 12.0)
         assert table.points[0].label == "codeA"
 
     def test_sorts_rows(self):
@@ -147,36 +146,6 @@ class TestCompose:
             compose_fer(0.5, 1.1)
 
 
-class TestRateSplit:
-    def test_zero_gap_rates(self):
-        r1, r2 = rate_split(0.599, SnrSpec(20.0), 0.0, 0.0)
-        # C((1-a^2)*20) and C(20) by direct evaluation
-        assert r1 == pytest.approx(0.5 * math.log2(1 + (1 - 0.599**2) * 20), rel=1e-12)
-        assert r1 == pytest.approx(1.8946, abs=1e-4)
-        assert r2 == pytest.approx(2.1962, abs=1e-4)
-
-    def test_alpha_zero_equal_gaps_equal_rates(self):
-        r1, r2 = rate_split(0.0, SnrSpec(20.0), 0.7, 0.7)
-        assert r1 == pytest.approx(r2, rel=1e-15)
-
-    def test_tabulated_rates_imply_sub_db_gaps(self):
-        # invert C at the tabulated rates 1.8 and 2.1
-        s = 20.0
-        g1_db = 10 * math.log10((1 - 0.599**2) * s / (2 ** (2 * 1.8) - 1))
-        g2_db = 10 * math.log10(s / (2 ** (2 * 2.1) - 1))
-        assert g1_db == pytest.approx(0.6169, abs=1e-4)
-        assert g2_db == pytest.approx(0.6100, abs=1e-4)
-        r1, r2 = rate_split(0.599, SnrSpec(s), g1_db, g2_db)
-        assert r1 == pytest.approx(1.8, rel=1e-9)
-        assert r2 == pytest.approx(2.1, rel=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            rate_split(1.0, SnrSpec(20.0), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            rate_split(0.5, SnrSpec(20.0), -1.0, 0.0)
-
-
 class TestOperatingPoint:
     def test_reference_point(self, reference_tables):
         t1, t2 = reference_tables
@@ -188,6 +157,15 @@ class TestOperatingPoint:
         assert point.gap_to_capacity_db < 0.7
         assert point.code1.fer == 1.2e-3
         assert point.code2.fer == 1.3e-3
+
+    def test_tabulated_rates_imply_sub_db_gaps(self, reference_tables):
+        # the per-code gaps invert C at the tabulated rates 1.8 and 2.1
+        point = evaluate_operating_point(0.599, SnrSpec(20.0), *reference_tables)
+        assert point.code1.gap_db == pytest.approx(0.6169, abs=1e-4)
+        assert point.code2.gap_db == pytest.approx(0.6100, abs=1e-4)
+        assert point.code1.gap_db == pytest.approx(
+            10 * math.log10((1 - 0.599**2) * 20.0 / (2 ** (2 * 1.8) - 1)), rel=1e-12
+        )
 
     def test_alpha_zero_same_query(self, tmp_path):
         path = write_table(

@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pdlsic import capacity
-from pdlsic.channel import Model, SampleMode, SnrSpec
+from pdlsic.channel import Model, PdlClass, SampleMode, SnrSpec, sample_params
 from pdlsic.equalize import StreamScheme, closed_form_stream_snr
 from pdlsic.montecarlo import (
     Scheme,
     SimConfig,
+    _block_params,
     pam_order,
     run,
     ser_pam_awgn,
@@ -50,12 +53,27 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = config(model=Model.COMPLEX, scheme=Scheme.ZF, constellation="PAM(8)")
-        again = SimConfig.from_dict(cfg.as_dict())
-        assert again == cfg or (
-            again.model is cfg.model
-            and again.scheme is cfg.scheme
-            and again.snr.snr_linear == pytest.approx(cfg.snr.snr_linear, rel=1e-12)
-        )
+        assert SimConfig.from_dict(cfg.as_dict()) == cfg
+
+    @given(
+        snr=st.floats(1e-12, 1e12),
+        alpha=st.floats(0.0, 1.0, exclude_max=True),
+        scheme=st.sampled_from(Scheme),
+        mode=st.sampled_from(SampleMode),
+        model=st.sampled_from(Model),
+    )
+    def test_dict_round_trip_is_exact(self, snr, alpha, scheme, mode, model):
+        cfg = config(snr=SnrSpec(snr), alpha=alpha, scheme=scheme, param_mode=mode, model=model)
+        assert SimConfig.from_dict(cfg.as_dict()) == cfg
+        assert SimConfig.from_dict(json.loads(json.dumps(cfg.as_dict()))) == cfg
+
+    def test_from_dict_prefers_snr_linear(self):
+        data = config().as_dict()
+        assert data["snr"] == {"snr_linear": 20.0, "snr_db": 10 * math.log10(20.0)}
+        assert SimConfig.from_dict(data).snr.snr_linear == 20.0
+        data["snr"]["snr_db"] += 1e-6
+        with pytest.raises(ValueError, match="snr_db"):
+            SimConfig.from_dict(data)
 
     def test_from_dict_accepts_db(self):
         cfg = SimConfig.from_dict(
@@ -83,6 +101,15 @@ class TestConfig:
                 {"model": "Real", "alpha": 0.1, "snr": 2.0, "param_mode": "Grid",
                  "trials": 10, "seed": 0}
             )
+
+
+class TestGridBlocks:
+    def test_block_b_gets_lattice_point_b_mod_size(self):
+        lattice = list(sample_params(PdlClass(0.599), SampleMode.GRID, Model.REAL))
+        n_blocks = 2 * len(lattice) + 5  # wraps around the lattice twice
+        cfg = config(param_mode=SampleMode.GRID, trials=n_blocks, block_size=1)
+        params = _block_params(cfg, seed=None)
+        assert params == [lattice[b % len(lattice)] for b in range(n_blocks)]
 
 
 class TestReproducibility:
