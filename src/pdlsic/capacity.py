@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SnrSpec, TWO_PI, ChannelParams, Model, validate_alpha
-from .precode import Precoder, effective_channel
+from .channel import SnrSpec, TWO_PI, ChannelParams, Model, channel_matrix, validate_alpha
+from .precode import Precoder
 
 #: Default grid resolutions for the max-min searches.  201 points in beta
 #: and gamma resolve the quadratic flatness near beta* = 1/2 at the 1e-9-bit
@@ -215,21 +215,41 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
 
     Stream i sees streams 1..i-1 cancelled and i+1..n as Gaussian
     interference; its SNR is the unbiased LMMSE SNR
-    1/[(I + snr * Gram_i)^-1]_00 - 1 on the trailing submatrix.  With
-    Gaussian inputs, C of these SNRs are exactly the chain-rule mutual
-    information terms, so their sum is the full mutual information.
+    1/[(A[i:, i:])^-1]_00 - 1 with A = I + snr * Gram.  With Gaussian
+    inputs, C of these SNRs are exactly the chain-rule mutual information
+    terms, so their sum is the full mutual information.
+
+    All n of them come from one Cholesky factorization L L^T of A with its
+    indices reversed: pivot n-1-i of L is the Schur complement of the
+    trailing block A[i+1:, i+1:] in A[i:, i:], which is 1/[(A[i:, i:])^-1]_00
+    (the MMSE-SIC SNRs are the Cholesky pivots).  ``gram`` must be symmetric
+    positive semidefinite: the factorization reads only the lower triangle of
+    the reversed matrix, which is the upper triangle of ``gram``.
     """
+    SnrSpec(snr)  # rejects snr <= 0 and non-finite snr
     gram = np.asarray(gram, float)
-    squeeze = gram.ndim == 2
-    if squeeze:
-        gram = gram[None]
-    b, n, _ = gram.shape
-    out = np.empty((b, n))
-    for i in range(n):
-        sub = gram[:, i:, i:]
-        minv = np.linalg.inv(np.eye(n - i) + snr * sub)
-        out[:, i] = 1.0 / minv[:, 0, 0] - 1.0
-    return out[0] if squeeze else out
+    n = gram.shape[-1]
+    a = snr * gram
+    a += np.eye(n)
+    pivots = np.diagonal(np.linalg.cholesky(a[..., ::-1, ::-1]), axis1=-2, axis2=-1)[..., ::-1]
+    return pivots**2 - 1.0
+
+
+@dataclass(frozen=True)
+class GridPoint:
+    """One (gamma, theta, phi) lattice point; ``phi`` is None for the real model."""
+
+    gamma: float
+    theta: float
+    phi: float | None
+
+    def as_dict(self) -> dict:
+        return {"gamma": self.gamma, "theta": self.theta, "phi": self.phi}
+
+
+def _grid_point(sheet: ChannelParams, j: int) -> GridPoint:
+    phi = None if sheet.phi is None else float(sheet.phi[j])
+    return GridPoint(float(sheet.gamma[j]), float(sheet.theta[j]), phi)
 
 
 @dataclass(frozen=True)
@@ -241,10 +261,30 @@ class StarPropertyReport:
     gap_bits: float
     min_stream_snrs: np.ndarray
     tol: float
+    lhs_point: GridPoint  # first lattice point (in grid order) of the rate-sum minimum
+    min_stream_points: tuple[GridPoint, ...]  # first lattice point of each stream's minimum
 
     @property
     def passed(self) -> bool:
         return self.gap_bits < self.tol
+
+
+def _gram_tensor(precoder: Precoder) -> np.ndarray:
+    """T with Gram = K.reshape(d*d) @ T for H = blockdiag(M, M) @ G and K = M^T M.
+
+    H^T H = sum_j G_j^T K G_j over the two row blocks G_j of G, which is
+    linear in K: T[(k, l), (a, b)] = sum_j G_j[k, a] G_j[l, b].
+    """
+    n = precoder.n_streams
+    blocks = precoder.entries.reshape(2, n // 2, n)
+    return np.einsum("jka,jlb->klab", blocks, blocks).reshape((n // 2) ** 2, n * n)
+
+
+def _gram(m: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """The ``(b, n, n)`` Gram stack H^T H from the single-use stack ``m`` and :func:`_gram_tensor`."""
+    b, d, _ = m.shape
+    k = np.swapaxes(m, 1, 2).copy() @ m  # a contiguous M^T takes matmul's fast path
+    return (k.reshape(b, d * d) @ tensor).reshape(b, 2 * d, 2 * d)
 
 
 def verify_star_property(
@@ -263,28 +303,38 @@ def verify_star_property(
     minima.  The left side equals twice the compound capacity for any
     orthogonal precoder (chain rule); the right side reaches it only for a
     correct precoder and stream order.  gap >= 0 always, and a pass means the
-    two sides agree to ``tol`` bits per real dimension.
+    two sides agree to ``tol`` bits per real dimension.  The report names the
+    lattice point of the left side's minimum and of each stream's minimum.
     """
     validate_alpha(alpha)
+    SnrSpec(snr)  # rejects snr <= 0 and non-finite snr before any grid work
+    if min(n_gamma, n_theta, n_phi) < 1:
+        raise ValueError("grid sizes must be at least 1")
     n = precoder.n_streams
     gammas = np.linspace(-alpha, alpha, n_gamma)
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     use_phi = precoder.model is Model.COMPLEX
     phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False) if use_phi else np.array([0.0])
+    tensor = _gram_tensor(precoder)
 
     lhs = np.inf
+    lhs_at = None
     min_snrs = np.full(n, np.inf)
+    min_at = [None] * n
     # Chunk over gamma: each chunk is the full theta x phi sheet.
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     tt, pp = tt.ravel(), (pp.ravel() if use_phi else None)
+    streams = np.arange(n)
     for g in gammas:
         sheet = ChannelParams(np.full(tt.size, g), tt, pp)
-        h = effective_channel(sheet, precoder, SnrSpec(snr)).matrix
-        gram = np.swapaxes(h, 1, 2) @ h
-        snrs = successive_stream_snrs(gram, snr)
-        caps = 0.5 * np.log2(1.0 + snrs)
-        lhs = min(lhs, float(caps.sum(axis=1).min()))
-        min_snrs = np.minimum(min_snrs, snrs.min(axis=0))
+        snrs = successive_stream_snrs(_gram(channel_matrix(sheet), tensor), snr)
+        sums = (0.5 * np.log2(1.0 + snrs)).sum(axis=1)
+        j = int(sums.argmin())
+        if sums[j] < lhs:
+            lhs, lhs_at = float(sums[j]), _grid_point(sheet, j)
+        rows = snrs.argmin(axis=0)
+        for i in np.flatnonzero(snrs[rows, streams] < min_snrs):
+            min_snrs[i], min_at[i] = snrs[rows[i], i], _grid_point(sheet, rows[i])
     rhs = float(np.sum(0.5 * np.log2(1.0 + min_snrs)))
     return StarPropertyReport(
         lhs_bits=lhs / n,
@@ -292,6 +342,8 @@ def verify_star_property(
         gap_bits=(lhs - rhs) / n,
         min_stream_snrs=min_snrs,
         tol=tol,
+        lhs_point=lhs_at,
+        min_stream_points=tuple(min_at),
     )
 
 

@@ -197,6 +197,11 @@ def _suite_snr_closed_forms(args, alpha: float, snr: SnrSpec) -> tuple[bool, dic
     return ok, detail
 
 
+def _point_text(point: capacity.GridPoint) -> str:
+    text = f"gamma={point.gamma:.6g} theta={point.theta:.6g}"
+    return text if point.phi is None else f"{text} phi={point.phi:.6g}"
+
+
 def _suite_star_property(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
     detail = {}
     ok = True
@@ -219,9 +224,15 @@ def _suite_star_property(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
             "rhs_bits": rep.rhs_bits,
             "gap_bits": rep.gap_bits,
             "passed": rep.passed,
+            "lhs_point": rep.lhs_point.as_dict(),
+            "min_stream_points": [
+                {"snr": float(v), **p.as_dict()}
+                for v, p in zip(rep.min_stream_snrs, rep.min_stream_points)
+            ],
         }
+        where = "" if rep.passed else f"; rate-sum minimum at {_point_text(rep.lhs_point)}"
         print(f"{'PASS' if rep.passed else 'FAIL'} star-property[{model.value}] "
-              f"gap={rep.gap_bits:.3e} bits/real-dim (tol {rep.tol:g})")
+              f"gap={rep.gap_bits:.3e} bits/real-dim (tol {rep.tol:g}){where}")
     return ok, detail
 
 

@@ -113,7 +113,6 @@ class EffectiveChannel:
     matrix: np.ndarray
     params: ChannelParams
     snr: SnrSpec
-    model: Model
 
     @property
     def n_streams(self) -> int:
@@ -143,7 +142,7 @@ def effective_channel(
     d = m.shape[-1]
     # H = [M @ G[:d]; M @ G[d:]], both halves in one matmul
     h = m[..., None, :, :] @ precoder.entries.reshape(2, d, 2 * d)
-    return EffectiveChannel(h.reshape(m.shape[:-2] + (2 * d, 2 * d)), params, snr, params.model)
+    return EffectiveChannel(h.reshape(m.shape[:-2] + (2 * d, 2 * d)), params, snr)
 
 
 def interference_coupling(effective: EffectiveChannel) -> np.ndarray:

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdlsic import capacity
 from pdlsic.channel import ChannelParams, Model, SnrSpec
-from pdlsic.equalize import lmmse_equalizer, stream_statistics
+from pdlsic.equalize import _statistics, lmmse_equalizer, stream_statistics
 from pdlsic.precode import (
+    Precoder,
     effective_channel,
     identity_precoder,
     permute_columns,
@@ -18,6 +21,35 @@ from pdlsic.precode import (
 
 ALPHAS = (0.0, 0.1, 0.3, 0.599, 0.9)
 SNRS = (0.5, 1.0, 5.0, 20.0, 100.0, 1000.0)
+UNIVERSAL = {Model.REAL: precoder_real(), Model.COMPLEX: precoder_complex()}
+
+
+def inverse_stream_snrs(gram, snr):
+    """Reference SIC SNRs, stream i from its own inverse: 1/[(I + snr * Gram[i:, i:])^-1]_00 - 1."""
+    n = gram.shape[-1]
+    return np.stack(
+        [1.0 / np.linalg.inv(np.eye(n - i) + snr * gram[..., i:, i:])[..., 0, 0] - 1.0
+         for i in range(n)],
+        axis=-1,
+    )
+
+
+def grams(params: ChannelParams, precoder: Precoder) -> np.ndarray:
+    h = effective_channel(params, precoder, SnrSpec(1.0)).matrix
+    return np.swapaxes(h, -1, -2) @ h
+
+
+@st.composite
+def random_grams(draw):
+    """Gram stacks H^T H of a random orthogonal precoder (QR) over random members."""
+    model = draw(st.sampled_from(Model))
+    n, b = 2 * model.dim, draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    gamma = draw(st.lists(st.floats(-0.999999, 0.999999), min_size=b, max_size=b))
+    theta = rng.uniform(0.0, 2 * math.pi, b)
+    phi = rng.uniform(0.0, 2 * math.pi, b) if model is Model.COMPLEX else None
+    return grams(ChannelParams(np.array(gamma), theta, phi), Precoder(q, model))
 
 
 class TestAwgn:
@@ -205,6 +237,8 @@ class TestStarProperty:
         )
         assert rep.passed
         assert rep.lhs_bits == pytest.approx(float(capacity.c_compound(0.599, 20.0)), abs=1e-12)
+        for p in (rep.lhs_point, *rep.min_stream_points):
+            assert p.phi in np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
 
     def test_column_swap_fails(self):
         swapped = permute_columns(precoder_real(), (0, 2, 1, 3))
@@ -226,12 +260,52 @@ class TestStarProperty:
         # random orthogonal precoders: gap can be anything >= 0
         for _ in range(5):
             q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-            from pdlsic.precode import Precoder
-
             rep = capacity.verify_star_property(
                 Precoder(q, Model.REAL), 0.4, 10.0, n_gamma=11, n_theta=8
             )
             assert rep.gap_bits >= -1e-12
+
+    def test_column_swap_reports_lattice_points(self):
+        swapped = permute_columns(precoder_real(), (0, 2, 1, 3))
+        rep = capacity.verify_star_property(swapped, 0.5, 20.0, n_gamma=41, n_theta=32)
+        points = (rep.lhs_point, *rep.min_stream_points)
+        assert len(points) == 1 + swapped.n_streams
+        for p in points:
+            assert p.gamma in np.linspace(-0.5, 0.5, 41)
+            assert p.theta in np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
+            assert p.phi is None
+
+        def snrs_at(p):
+            return capacity.successive_stream_snrs(
+                grams(ChannelParams(p.gamma, p.theta, p.phi), swapped), 20.0
+            )
+
+        # each point is where its minimum is attained
+        rate_sum = float(np.sum(capacity.c_awgn(snrs_at(rep.lhs_point))))
+        assert rate_sum / swapped.n_streams == pytest.approx(rep.lhs_bits, rel=1e-12)
+        for i, p in enumerate(rep.min_stream_points):
+            assert snrs_at(p)[i] == pytest.approx(rep.min_stream_snrs[i], rel=1e-12)
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("alpha", [1e-6, 0.999999, 1.0 - 1e-9])
+    @pytest.mark.parametrize("snr", [1e-3, 1e6])
+    def test_universal_precoder_at_numerical_edges(self, model, alpha, snr):
+        rep = capacity.verify_star_property(
+            UNIVERSAL[model], alpha, snr, n_gamma=5, n_theta=16, n_phi=4
+        )
+        assert rep.passed
+        want = float(capacity.c_compound(alpha, snr))
+        assert abs(rep.lhs_bits - want) < capacity.STAR_TOL_BITS
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_invalid_snr(self, bad):
+        with pytest.raises(ValueError):
+            capacity.verify_star_property(precoder_real(), 0.5, bad, n_gamma=3, n_theta=4)
+
+    @pytest.mark.parametrize("grid", [{"n_gamma": 0}, {"n_theta": 0}, {"n_phi": 0}])
+    def test_rejects_empty_grid(self, grid):
+        with pytest.raises(ValueError, match="at least 1"):
+            capacity.verify_star_property(precoder_complex(), 0.5, 20.0, **{"n_gamma": 3, **grid})
 
     def test_successive_snrs_match_equalizer_route(self):
         # stage engine vs explicit LMMSE equalizer statistics on the
@@ -250,10 +324,41 @@ class TestStarProperty:
             for i in range(1, h.shape[1]):
                 sub = h[:, i:]
                 e = sub.T @ np.linalg.inv(sub @ sub.T + np.eye(h.shape[0]) / 20.0)
-                from pdlsic.equalize import _statistics
-
                 ref = _statistics(sub, e, 20.0).snr_per_stream[0]
                 assert succ[i] == pytest.approx(ref, rel=1e-10)
+
+
+class TestSuccessiveStreamSnrs:
+    @settings(max_examples=200, deadline=None)
+    @given(random_grams(), st.floats(1e-3, 1e6))
+    def test_cholesky_pivots_match_inverses(self, gram, snr):
+        # Both routes form I + snr * Gram and subtract 1 at the end, so each
+        # stream SNR carries an absolute rounding error of about one ulp of 1:
+        # at a stream SNR near 1e-7 (snr 1e-3, |gamma| 0.999999) that alone is
+        # ~1e-9 relative in either route.  Hence the absolute floor.
+        ref = inverse_stream_snrs(gram, snr)
+        floor = 16 * np.finfo(float).eps
+        got = capacity.successive_stream_snrs(gram, snr)
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=floor)
+        single = capacity.successive_stream_snrs(gram[0], snr)
+        assert single.shape == (gram.shape[-1],)
+        np.testing.assert_allclose(single, ref[0], rtol=1e-9, atol=floor)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, -math.inf, math.nan])
+    def test_rejects_invalid_snr(self, bad):
+        gram = grams(ChannelParams(0.5, 1.0), precoder_real())
+        with pytest.raises(ValueError):
+            capacity.successive_stream_snrs(gram, bad)
+
+    def test_reads_only_the_upper_triangle(self):
+        # why the Gram must be symmetric: the factorization of the reversed
+        # matrix never looks below the Gram's diagonal
+        gram = grams(ChannelParams(0.5, 1.0, 2.0), precoder_complex())
+        lower_changed = gram + np.tril(np.ones_like(gram), k=-1)
+        assert np.array_equal(
+            capacity.successive_stream_snrs(lower_changed, 20.0),
+            capacity.successive_stream_snrs(gram, 20.0),
+        )
 
 
 class TestMeanIdentity:

@@ -151,6 +151,36 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in stdout
 
+    def test_star_property_failure_names_grid_points(self, capsys, tmp_path):
+        out = tmp_path / "star.json"
+        code, stdout, _ = run_cli(
+            ["verify", "--suite", "star-property", "--alpha", "0.599", "--model", "real",
+             "--n-gamma", "41", "--n-theta", "32", "--permute", "0,2,1,3", "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        detail = json.loads(out.read_text())["detail"]["real"]
+        lhs = detail["lhs_point"]
+        assert set(lhs) == {"gamma", "theta", "phi"} and lhs["phi"] is None
+        assert f"rate-sum minimum at gamma={lhs['gamma']:.6g} theta={lhs['theta']:.6g}" in stdout
+        streams = detail["min_stream_points"]
+        assert len(streams) == 4
+        assert all(set(p) == {"snr", "gamma", "theta", "phi"} for p in streams)
+        assert all(abs(p["gamma"]) == pytest.approx(0.599) for p in streams)
+
+    def test_star_property_pass_line_names_no_point(self, capsys, tmp_path):
+        out = tmp_path / "star.json"
+        code, stdout, _ = run_cli(
+            ["verify", "--suite", "star-property", "--alpha", "0.599", "--model", "complex",
+             "--n-gamma", "3", "--n-theta", "8", "--n-phi", "4", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert "minimum at" not in stdout
+        detail = json.loads(out.read_text())["detail"]["complex"]
+        assert detail["lhs_point"]["phi"] is not None
+        assert len(detail["min_stream_points"]) == 8
+
     def test_star_property_identity_fails(self, capsys):
         code, _, _ = run_cli(
             ["verify", "--suite", "star-property", "--alpha", "0.599", "--model", "real",
