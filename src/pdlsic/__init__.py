@@ -40,6 +40,7 @@ from .channel import (
     channel_matrix,
     pdl_db_from_alpha,
     sample_params,
+    stack_params,
     validate_alpha,
 )
 from .equalize import (

@@ -20,7 +20,7 @@ axes, and a scalar point is simply a batch of one.
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -161,6 +161,16 @@ class ChannelParams:
     @property
     def model(self) -> Model:
         return Model.REAL if self.phi is None else Model.COMPLEX
+
+
+def stack_params(points: Iterable[ChannelParams]) -> ChannelParams:
+    """Scalar points of one model stacked into one ChannelParams with array fields of shape (n,)."""
+    points = list(points)
+    if not points:
+        raise ValueError("stack_params needs at least one point")
+    gamma, theta = np.array([p.gamma for p in points]), np.array([p.theta for p in points])
+    phi = None if points[0].phi is None else np.array([p.phi for p in points])
+    return ChannelParams(gamma, theta, phi)
 
 
 def channel_matrix(params: ChannelParams) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Command-line surface: capacity curves, verification suites, simulation, link budget.
 
 Subcommands: ``curves``, ``penalties``, ``verify``, ``simulate``, ``fer``.
-All file outputs are deterministic for fixed flags and seed, with numbers at
-12 significant digits.  Exit codes: 0 success, 1 verification failure,
-2 usage or format error.
+All outputs are deterministic for fixed flags and seed.  The CSV and JSON of
+``curves``, ``penalties``, ``verify --out`` and ``fer`` carry numbers at 12
+significant digits; ``simulate`` writes full float precision, so the config
+its report echoes reloads exactly.  Exit codes: 0 success, 1 verification
+failure, 2 usage or format error.
 """
 
 import argparse
@@ -22,6 +24,7 @@ from .channel import (
     SnrSpec,
     alpha_from_pdl_db,
     sample_params,
+    stack_params,
     validate_alpha,
 )
 from .equalize import (
@@ -102,11 +105,14 @@ def _count(minimum: int):
 
 def cmd_curves(args) -> int:
     alpha = args.alpha
-    if args.snr_db_step <= 0 or args.snr_db_max < args.snr_db_min:
-        raise ValueError("curves needs snr-db-max >= snr-db-min and a positive step")
+    step = args.snr_db_step
+    # a finite, non-negative step count also rules out NaN or infinite bounds
+    steps = (args.snr_db_max - args.snr_db_min) / step if 0 < step < math.inf else math.nan
+    if not 0 <= steps < math.inf:
+        raise ValueError("curves needs finite snr-db-min <= snr-db-max and a finite positive step")
     # the slack keeps a last step that lands on snr-db-max up to rounding
-    n = math.floor((args.snr_db_max - args.snr_db_min) / args.snr_db_step + 1e-9)
-    snr_db = np.minimum(args.snr_db_min + args.snr_db_step * np.arange(n + 1), args.snr_db_max)
+    n = math.floor(steps + 1e-9)
+    snr_db = np.minimum(args.snr_db_min + step * np.arange(n + 1), args.snr_db_max)
     snr = 10.0 ** (snr_db / 10.0)
     columns = [
         snr_db,
@@ -144,11 +150,9 @@ def _models_from_arg(model_arg: str) -> list[Model]:
 
 def _sampled_params(args, alpha: float, model: Model) -> ChannelParams:
     """The suite's random draws for one model, as one array-valued ChannelParams."""
-    draws = list(sample_params(
+    return stack_params(sample_params(
         PdlClass(alpha), SampleMode.UNIFORM_INTERIOR, model, seed=args.seed, count=args.draws
     ))
-    phi = None if model is Model.REAL else np.array([p.phi for p in draws])
-    return ChannelParams(np.array([p.gamma for p in draws]), np.array([p.theta for p in draws]), phi)
 
 
 def _suite_orthogonality(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:

@@ -126,14 +126,15 @@ def second_stage_statistics(effective: EffectiveChannel) -> StreamStats:
 
 
 def cancel_first_group(
-    effective: EffectiveChannel, first_half_symbols: np.ndarray, received: np.ndarray
+    h: np.ndarray, first_half_symbols: np.ndarray, received: np.ndarray
 ) -> np.ndarray:
-    """H2^T (Y - H1 @ u_first): cancel the first stream group, matched-filter the rest.
+    """H2^T (Y - H1 @ u_first) for the effective channel matrix ``h`` = [H1, H2].
 
     ``first_half_symbols`` are the true (genie) or decoded values of the
-    first group; both arguments may carry a trailing batch axis.
+    first group; both may carry a trailing batch axis.
     """
-    return _transpose(effective.h2) @ (received - effective.h1 @ first_half_symbols)
+    k = h.shape[-1] // 2
+    return _transpose(h[..., k:]) @ (received - h[..., :k] @ first_half_symbols)
 
 
 def post_sic_streams(first_stage: np.ndarray, second_stage: np.ndarray) -> np.ndarray:
@@ -176,7 +177,7 @@ def sic_pipeline(
         raise ValueError(
             f"received must have {effective.matrix.shape[0]} rows, got {y.shape[0]}"
         )
-    y_hat = cancel_first_group(effective, u_first, y)
+    y_hat = cancel_first_group(effective.matrix, u_first, y)
 
     second_stats = second_stage_statistics(effective)
     snrs = post_sic_streams(first_stats.snr_per_stream, second_stats.snr_per_stream)

@@ -2,11 +2,12 @@
 
 Execution is block fading: channel parameters are drawn once per block of
 symbols (the physical parameters vary slowly relative to the baud rate) and
-estimators stratify by block.  Per-block seeds are derived up front from the
-master seed and per-block results are summed in block order, so a report is
-byte-identical for a fixed config.  Standard errors come from a per-block
-jackknife, which respects block correlation without distributional
-assumptions.
+estimators stratify by block.  The channels and equalizers of all blocks
+are built in one batched call; each block then draws its symbols and noise
+from its own seed, derived up front from the master seed, and per-block
+results are summed in block order, so a report is byte-identical for a
+fixed config.  Standard errors come from a per-block jackknife, which
+respects block correlation without distributional assumptions.
 
 Gaussian inputs are the default oracle; PAM exists solely to certify that
 the synthesized streams behave as scalar AWGN channels under a standard
@@ -33,6 +34,7 @@ from .channel import (
     SnrSpec,
     channel_matrix,
     sample_params,
+    stack_params,
     validate_alpha,
 )
 from .equalize import (
@@ -42,7 +44,7 @@ from .equalize import (
     first_stage_equalizer,
     post_sic_streams,
 )
-from .precode import Precoder, effective_channel, universal_precoder
+from .precode import effective_channel, universal_precoder
 
 _PAM_PATTERN = re.compile(r"^PAM\((\d+)\)$")
 _PAM_ORDERS = (2, 4, 8)
@@ -150,9 +152,18 @@ class SimConfig:
                 raise ValueError(f"config is missing required field {field!r}")
             return default
 
+        def number(field, value) -> float:
+            # float() would take JSON true/false as 1/0 and parse strings
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"field {field!r} must be a number, got {value!r}")
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError(f"field {field!r} is too large for a float") from None
+
         def integer(field, default=None):
             value = take(field, default, required=default is None)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+            if number(field, value) % 1:
                 raise ValueError(f"field {field!r} must be an integer, got {value!r}")
             return int(value)
 
@@ -162,21 +173,22 @@ class SimConfig:
 
         snr_raw = take("snr")
         if not isinstance(snr_raw, dict):
-            snr = SnrSpec(float(snr_raw))
+            snr = SnrSpec(number("snr", snr_raw))
         elif "snr_linear" in snr_raw:
             # the exact value; an echoed snr_db is derived from it and only cross-checked
-            snr = SnrSpec(float(snr_raw["snr_linear"]))
-            if "snr_db" in snr_raw and not abs(float(snr_raw["snr_db"]) - snr.snr_db) <= 1e-9:
+            snr = SnrSpec(number("snr_linear", snr_raw["snr_linear"]))
+            snr_db = number("snr_db", snr_raw.get("snr_db", snr.snr_db))
+            if not abs(snr_db - snr.snr_db) <= 1e-9:
                 raise ValueError(f"field 'snr' has snr_db {snr_raw['snr_db']}, but snr_linear "
                                  f"{snr.snr_linear} is {snr.snr_db} dB")
         elif "snr_db" in snr_raw:
-            snr = SnrSpec.from_db(float(snr_raw["snr_db"]))
+            snr = SnrSpec.from_db(number("snr_db", snr_raw["snr_db"]))
         else:
             raise ValueError("field 'snr' must contain 'snr_db' or 'snr_linear'")
         try:
             return cls(
                 model=Model.parse(take("model")),
-                alpha=float(take("alpha")),
+                alpha=number("alpha", take("alpha")),
                 snr=snr,
                 param_mode=SampleMode.parse(take("param_mode")),
                 scheme=Scheme.parse(take("scheme")),
@@ -249,17 +261,13 @@ class SimReport:
         return json.dumps(self.as_dict(), indent=2)
 
 
-def _block_params(config: SimConfig, seed) -> list[ChannelParams]:
-    """One parameter point per block; Grid runs cycle the lattice, drawing only what they use."""
-    pdl = PdlClass(config.alpha)
-    if config.param_mode is SampleMode.GRID:
-        lattice = sample_params(pdl, SampleMode.GRID, config.model)
-        return list(islice(cycle(lattice), config.n_blocks))
-    return list(
-        sample_params(
-            pdl, config.param_mode, config.model, seed=seed, count=config.n_blocks
-        )
-    )
+def _block_params(config: SimConfig, seed) -> ChannelParams:
+    """The block parameters, stacked; Grid runs cycle the lattice, drawing only what they use."""
+    pdl, n_blocks = PdlClass(config.alpha), config.n_blocks
+    draws = sample_params(pdl, config.param_mode, config.model, seed=seed, count=n_blocks)
+    if config.param_mode is SampleMode.GRID:  # the lattice ignores count
+        draws = cycle(draws)
+    return stack_params(islice(draws, n_blocks))
 
 
 def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:
@@ -267,63 +275,59 @@ def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:
     return np.clip(idx, 0, order - 1).astype(np.int64)
 
 
-def _simulate_block(
-    config: SimConfig, precoder: Precoder | None, params: ChannelParams, seed, n_trials: int
-) -> dict:
-    """One block: fixed channel realization, n_trials independent symbol vectors."""
-    rng = np.random.default_rng(seed)
-    s = config.snr.snr_linear
-    order = pam_order(config.constellation)
+def _simulate_blocks(config: SimConfig, params: ChannelParams, block_seeds, trial_counts):
+    """Per-block sums of each stage and, for PAM, per-block symbol errors.
 
+    The channel H, first-stage equalizer E and diag(E @ H) of every block
+    are built in one call; each block then draws only its symbols and noise.
+    A stage's sums are ``(3, B, n, n)``: u u^T, u z^T and z z^T (n/2 streams
+    in stage 2).  Errors are None or ``(2, B, n)``: genie, then
+    decision-directed cancellation (the same without SIC).
+    """
     if config.scheme.uses_precoder:
-        eff = effective_channel(params, precoder, config.snr)
-        h = eff.matrix
-        e = first_stage_equalizer(eff, config.scheme.first_stage)
+        eff = effective_channel(params, universal_precoder(config.model), config.snr)
+        h, e = eff.matrix, first_stage_equalizer(eff, config.scheme.first_stage)
     else:
         h = channel_matrix(params)
         e = np.linalg.inv(h)
-    m, n = h.shape
+    lam = np.diagonal(e @ h, axis1=-2, axis2=-1).copy()
+    n_blocks, m, n = h.shape
     k = n // 2
-
-    if order is None:
-        u = math.sqrt(s) * rng.standard_normal((n, n_trials))
-        idx = None
-        delta = None
-    else:
-        delta = math.sqrt(3.0 * s / (order**2 - 1.0))
-        idx = rng.integers(0, order, size=(n, n_trials))
-        u = delta * (2.0 * idx - (order - 1))
-    z = rng.standard_normal((m, n_trials))
-    y = h @ u + z
-
-    lam = np.diag(e @ h).copy()
-    u_tilde = lam[:, None] * u
-    z_tilde = e @ y - u_tilde
-    out = {
-        "trials": n_trials,
-        "s1_uu": u_tilde @ u_tilde.T,
-        "s1_uz": u_tilde @ z_tilde.T,
-        "s1_zz": z_tilde @ z_tilde.T,
-    }
-
-    if order is not None:
-        estimates = (e @ y) / lam[:, None]
-        idx1_hat = _pam_slice(estimates, delta, order)
-        out["err1"] = (idx1_hat != idx).sum(axis=1)
-
+    s = config.snr.snr_linear
+    order = pam_order(config.constellation)
+    delta = None if order is None else math.sqrt(3.0 * s / (order**2 - 1.0))
+    moments = [np.empty((3, n_blocks, n, n))]
     if config.scheme.is_sic:
-        y_hat = cancel_first_group(eff, u[:k], y)
-        u_hat = u[k:]
-        z_hat = y_hat - u_hat
-        out["s2_uu"] = u_hat @ u_hat.T
-        out["s2_uz"] = u_hat @ z_hat.T
-        out["s2_zz"] = z_hat @ z_hat.T
+        moments.append(np.empty((3, n_blocks, k, k)))
+    errors = None if order is None else np.empty((2, n_blocks, n), dtype=np.int64)
+
+    for b, (seed, n_trials) in enumerate(zip(block_seeds, trial_counts)):
+        rng = np.random.default_rng(seed)
+        if order is None:
+            u = math.sqrt(s) * rng.standard_normal((n, n_trials))
+        else:
+            idx = rng.integers(0, order, size=(n, n_trials))
+            u = delta * (2.0 * idx - (order - 1))
+        z = rng.standard_normal((m, n_trials))
+        y = h[b] @ u + z
+        ey = e[b] @ y
+        u_tilde = lam[b][:, None] * u
+        z_tilde = ey - u_tilde
+        moments[0][:, b] = u_tilde @ u_tilde.T, u_tilde @ z_tilde.T, z_tilde @ z_tilde.T
         if order is not None:
-            out["err2_genie"] = (_pam_slice(y_hat, delta, order) != idx[k:]).sum(axis=1)
-            u_dd = delta * (2.0 * idx1_hat[:k] - (order - 1))
-            y_hat_dd = cancel_first_group(eff, u_dd, y)
-            out["err2_dd"] = (_pam_slice(y_hat_dd, delta, order) != idx[k:]).sum(axis=1)
-    return out
+            idx1_hat = _pam_slice(ey / lam[b][:, None], delta, order)
+            errors[:, b] = (idx1_hat != idx).sum(axis=1)
+
+        if config.scheme.is_sic:
+            y_hat = cancel_first_group(h[b], u[:k], y)
+            u_hat, z_hat = u[k:], y_hat - u[k:]
+            moments[1][:, b] = u_hat @ u_hat.T, u_hat @ z_hat.T, z_hat @ z_hat.T
+            if order is not None:
+                u_dd = delta * (2.0 * idx1_hat[:k] - (order - 1))
+                y_hat_dd = cancel_first_group(h[b], u_dd, y)
+                errors[0, b, k:] = (_pam_slice(y_hat, delta, order) != idx[k:]).sum(axis=1)
+                errors[1, b, k:] = (_pam_slice(y_hat_dd, delta, order) != idx[k:]).sum(axis=1)
+    return moments, errors
 
 
 def _jackknife_ratio(num: np.ndarray, den: np.ndarray):
@@ -339,45 +343,24 @@ def _jackknife_ratio(num: np.ndarray, den: np.ndarray):
     return estimate, se
 
 
-def _stage_stats(blocks: list[dict], prefix: str) -> tuple[EmpiricalStats, np.ndarray]:
-    """Jackknifed statistics of one stage, and its per-stream SNR in each block."""
-    counts = np.array([blk["trials"] for blk in blocks], dtype=float)
-    sums = {
-        key: np.stack([blk[f"{prefix}_{key}"] for blk in blocks]) for key in ("uu", "uz", "zz")
-    }
+def _stage_stats(moments: np.ndarray, counts: np.ndarray) -> tuple[EmpiricalStats, np.ndarray]:
+    """Jackknifed statistics of one stage from its block sums, and its stream SNRs per block."""
     denom = counts[:, None, None]
-    means, stderr = {}, {}
-    for key in sums:
-        means[key], stderr[key] = _jackknife_ratio(sums[key], denom)
-    diag = np.arange(means["uu"].shape[0])
-    signal, noise = sums["uu"][:, diag, diag], sums["zz"][:, diag, diag]
+    means, stderrs = zip(*(_jackknife_ratio(x, denom) for x in moments))  # uu, uz, zz
+    diag = np.arange(moments.shape[-1])
+    # fancy indexing copies; summing a diagonal view would change the order of the sums
+    signal, noise = moments[0][:, diag, diag], moments[2][:, diag, diag]
     snr, snr_se = _jackknife_ratio(signal, noise)
-    return EmpiricalStats(
-        k_uu=means["uu"],
-        k_uz=means["uz"],
-        k_zz=means["zz"],
-        k_uu_stderr=stderr["uu"],
-        k_uz_stderr=stderr["uz"],
-        k_zz_stderr=stderr["zz"],
-        snr_per_stream=snr,
-        snr_stderr=snr_se,
-    ), signal / noise
+    return EmpiricalStats(*means, *stderrs, snr, snr_se), signal / noise
 
 
-def _ser_stats(config: SimConfig, blocks: list[dict], n_total: int) -> SerStats:
+def _ser_stats(config: SimConfig, errors: np.ndarray, n_total: int) -> SerStats:
     order = pam_order(config.constellation)
-
-    def errors(key):
-        return np.stack([blk[key] for blk in blocks]).sum(axis=0)
-
-    err1 = errors("err1")
-    n_streams = err1.shape[0]
+    err_genie, err_dd = errors.sum(axis=1)
+    n_streams = err_genie.shape[0]
     k = n_streams // 2
-    ser_genie = err1 / n_total
-    ser_dd = None
-    if config.scheme.is_sic:
-        ser_genie = post_sic_streams(err1, errors("err2_genie")) / n_total
-        ser_dd = post_sic_streams(err1, errors("err2_dd")) / n_total
+    ser_genie = err_genie / n_total
+    ser_dd = err_dd / n_total if config.scheme.is_sic else None
     binom_se = lambda p: np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n_total)
 
     theory = None
@@ -421,27 +404,22 @@ def run(config: SimConfig) -> SimReport:
         for b in range(config.n_blocks)
     ]
 
-    precoder = universal_precoder(config.model) if config.scheme.uses_precoder else None
-    blocks = [
-        _simulate_block(config, precoder, p, sd, t)
-        for p, sd, t in zip(params, block_seeds, trial_counts)
-    ]
+    moments, errors = _simulate_blocks(config, params, block_seeds, trial_counts)
 
-    n_total = sum(trial_counts)
-    stage1, block_snrs = _stage_stats(blocks, "s1")
+    counts = np.array(trial_counts, dtype=float)
+    stage1, block_snrs = _stage_stats(moments[0], counts)
     stages = (stage1,)
     snr, snr_se = stage1.snr_per_stream, stage1.snr_stderr
     if config.scheme.is_sic:
-        stage2, second_block_snrs = _stage_stats(blocks, "s2")
+        stage2, second_block_snrs = _stage_stats(moments[1], counts)
         stages += (stage2,)
         snr = post_sic_streams(snr, stage2.snr_per_stream)
         if snr_se is not None:
             snr_se = post_sic_streams(snr_se, stage2.snr_stderr)
         block_snrs = post_sic_streams(block_snrs, second_block_snrs)
 
-    is_gaussian = pam_order(config.constellation) is None
-    rate = float(np.mean(c_awgn(snr))) if is_gaussian else None
-    ser = None if is_gaussian else _ser_stats(config, blocks, n_total)
+    rate = float(np.mean(c_awgn(snr))) if errors is None else None
+    ser = None if errors is None else _ser_stats(config, errors, sum(trial_counts))
     return SimReport(
         config=config,
         stages=stages,

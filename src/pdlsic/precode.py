@@ -108,10 +108,9 @@ def permute_columns(precoder: Precoder, order: list[int] | tuple[int, ...]) -> P
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """Two-use effective channel H = blockdiag(M, M) @ G with its context."""
+    """Two-use effective channel H = blockdiag(M, M) @ G with its SNR."""
 
     matrix: np.ndarray
-    params: ChannelParams
     snr: SnrSpec
 
     @property
@@ -142,7 +141,7 @@ def effective_channel(
     d = m.shape[-1]
     # H = [M @ G[:d]; M @ G[d:]], both halves in one matmul
     h = m[..., None, :, :] @ precoder.entries.reshape(2, d, 2 * d)
-    return EffectiveChannel(h.reshape(m.shape[:-2] + (2 * d, 2 * d)), params, snr)
+    return EffectiveChannel(h.reshape(m.shape[:-2] + (2 * d, 2 * d)), snr)
 
 
 def interference_coupling(effective: EffectiveChannel) -> np.ndarray:

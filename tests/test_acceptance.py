@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 from pdlsic import capacity
-from pdlsic.channel import ChannelParams, Model, PdlClass, SampleMode, SnrSpec, sample_params
+from pdlsic.channel import (
+    ChannelParams,
+    Model,
+    PdlClass,
+    SampleMode,
+    SnrSpec,
+    sample_params,
+    stack_params,
+)
 from pdlsic.cli import main
 from pdlsic.equalize import (
     StreamScheme,
@@ -38,11 +46,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 def interior_draws(alpha: float, model: Model, seed: int, count: int) -> ChannelParams:
     """The seeded UniformInterior draws of ``sample_params``, stacked into one ChannelParams."""
-    draws = list(sample_params(
+    return stack_params(sample_params(
         PdlClass(alpha), SampleMode.UNIFORM_INTERIOR, model, seed=seed, count=count
     ))
-    phi = None if model is Model.REAL else np.array([p.phi for p in draws])
-    return ChannelParams(np.array([p.gamma for p in draws]), np.array([p.theta for p in draws]), phi)
 
 
 def report(criterion: int, name: str, ok: bool, detail: str):

@@ -82,6 +82,30 @@ def test_stream_snrs_match_per_draw_and_closed_forms(raw):
         assert np.all(np.abs(snrs / np.expand_dims(expect, -1) - 1.0) < 1e-9)
 
 
+# (H, E) builds of the Monte Carlo schemes; the unprecoded ZF baseline inverts the single-use channel
+EQUALIZED = (
+    lambda p: (effective(p).matrix, zf_equalizer(effective(p))),
+    lambda p: (effective(p).matrix, lmmse_equalizer(effective(p))),
+    lambda p: (channel_matrix(p), np.linalg.inv(channel_matrix(p))),
+)
+
+
+def diag_eh(build, params) -> np.ndarray:
+    h, e = build(params)
+    return np.diagonal(e @ h, axis1=-2, axis2=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_stacks())
+def test_equalizers_and_diag_eh_match_per_draw(raw):
+    """The Monte Carlo engine builds every block's E in one call; its reports stay
+    byte-identical only while each E and diag(E @ H) equals the single build."""
+    params = ChannelParams(*raw)
+    for build in EQUALIZED:
+        assert np.array_equal(build(params)[1], per_draw(raw, lambda p: build(p)[1]))
+        assert np.array_equal(diag_eh(build, params), per_draw(raw, lambda p: diag_eh(build, p)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(raw_stacks())
 def test_orthogonal_design_maxima_match_per_draw(raw):

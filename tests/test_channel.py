@@ -15,6 +15,7 @@ from pdlsic.channel import (
     channel_matrix,
     pdl_db_from_alpha,
     sample_params,
+    stack_params,
 )
 
 
@@ -94,6 +95,21 @@ class TestTypes:
     def test_params_gamma_domain(self):
         with pytest.raises(ValueError):
             ChannelParams(1.0, 0.0)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_stack_params_keeps_each_point(self, model):
+        pdl = PdlClass(0.5)
+        points = list(sample_params(pdl, SampleMode.UNIFORM_INTERIOR, model, seed=4, count=7))
+        stack = stack_params(iter(points))
+        assert stack.model is model
+        assert np.array_equal(stack.gamma, [p.gamma for p in points])
+        assert np.array_equal(stack.theta, [p.theta for p in points])
+        if model is Model.COMPLEX:
+            assert np.array_equal(stack.phi, [p.phi for p in points])
+
+    def test_stack_params_needs_a_point(self):
+        with pytest.raises(ValueError):
+            stack_params([])
 
 
 class TestMatrices:

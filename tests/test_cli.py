@@ -58,12 +58,18 @@ class TestCurves:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_range_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            ["curves", "--alpha", "0.5", "--snr-db-min", "10", "--snr-db-max", "0"],
-            capsys,
-        )
-        assert code == 2
-        assert "error" in err
+        for bounds in (
+            ["--snr-db-min", "10", "--snr-db-max", "0"],
+            ["--snr-db-max", "inf"],  # was an uncaught OverflowError, exit 1
+            ["--snr-db-step", "inf"],  # was exit 0 with a NaN row
+            ["--snr-db-min=-inf"],
+            ["--snr-db-min", "nan"],
+            ["--snr-db-step", "nan"],
+            ["--snr-db-min=-1e308", "--snr-db-max", "1e308"],  # the span overflows
+        ):
+            code, out, err = run_cli(["curves", "--alpha", "0.5", *bounds], capsys)
+            assert code == 2, bounds
+            assert out == "" and "error" in err, bounds
 
     def test_rows_never_pass_max(self, capsys):
         code, out, _ = run_cli(
@@ -317,6 +323,15 @@ class TestSimulate:
             ({"snr": {"snr_linear": float("inf")}}, "snr_linear"),
             ({"snr": {"snr_db": float("nan")}}, "snr_linear"),
             ({"snr": {"snr_linear": 5, "snr_db": 7.0}}, "snr_db"),
+            ({"alpha": False}, "alpha"),
+            ({"alpha": "0.5"}, "alpha"),
+            ({"snr": True}, "snr"),
+            ({"snr": "20"}, "snr"),
+            ({"snr": None}, "snr"),
+            ({"snr": {"snr_linear": True}}, "snr_linear"),
+            ({"snr": {"snr_db": "13"}}, "snr_db"),
+            ({"snr": {"snr_linear": 5, "snr_db": False}}, "snr_db"),
+            ({"alpha": 10**400}, "alpha"),
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, override, named):

@@ -79,7 +79,7 @@ class TestZf:
     def test_singularity_guard(self):
         singular = np.eye(4)
         singular[3, 3] = 0.0
-        eff = EffectiveChannel(singular, ChannelParams(0.0, 0.0), SNR)
+        eff = EffectiveChannel(singular, SNR)
         with pytest.raises(SingularChannelError):
             zf_equalizer(eff)
 
@@ -137,7 +137,7 @@ class TestStreamStatistics:
         for _ in range(100):
             h = rng.normal(size=(4, 4))
             e = rng.normal(size=(4, 4))
-            eff = EffectiveChannel(h, ChannelParams(0.0, 0.0), SNR)
+            eff = EffectiveChannel(h, SNR)
             stats = stream_statistics(eff, lmmse_equalizer(eff))
             assert np.abs(np.diag(stats.k_uz)).max() < 1e-12
             stats2 = stream_statistics(eff, e)
@@ -160,7 +160,7 @@ class TestStreamStatistics:
         h = rng.normal(size=(4, 4))
         e = rng.normal(size=(4, 4)) * 0.5
         s = 4.0
-        eff = EffectiveChannel(h, ChannelParams(0.0, 0.0), SnrSpec(s))
+        eff = EffectiveChannel(h, SnrSpec(s))
         stats = stream_statistics(eff, e)
         n_trials = 1_000_000
         u = math.sqrt(s) * rng.standard_normal((4, n_trials))

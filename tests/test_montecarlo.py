@@ -109,7 +109,10 @@ class TestGridBlocks:
         n_blocks = 2 * len(lattice) + 5  # wraps around the lattice twice
         cfg = config(param_mode=SampleMode.GRID, trials=n_blocks, block_size=1)
         params = _block_params(cfg, seed=None)
-        assert params == [lattice[b % len(lattice)] for b in range(n_blocks)]
+        points = [lattice[b % len(lattice)] for b in range(n_blocks)]
+        assert params.phi is None
+        assert np.array_equal(params.gamma, [p.gamma for p in points])
+        assert np.array_equal(params.theta, [p.theta for p in points])
 
 
 class TestReproducibility:
