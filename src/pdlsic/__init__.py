@@ -38,6 +38,7 @@ from .channel import (
     SnrSpec,
     alpha_from_pdl_db,
     channel_matrix,
+    draw_params,
     pdl_db_from_alpha,
     sample_params,
     stack_params,

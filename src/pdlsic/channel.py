@@ -195,9 +195,45 @@ def channel_matrix(params: ChannelParams) -> np.ndarray:
             [a * sp, b * sp, a * cp, -(b * cp)],
             [e * sp, -(f * sp), e * cp, f * cp],
         ]
-    entries = np.array(rows)  # (d, d, *batch); move the matrix axes last
-    entries = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
-    return np.ascontiguousarray(entries)
+    out = np.empty(np.shape(rows[-1][-1]) + (len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def draw_params(
+    pdl_class: PdlClass, mode: SampleMode, model: Model, seed, count: int
+) -> ChannelParams:
+    """``count`` random members of the compound set as one array-valued ChannelParams.
+
+    The numbers are those of drawing point by point from ``default_rng(seed)``:
+    gamma by ``integers(0, 2)`` (WorstCaseEdge, sign of alpha) or
+    ``uniform(-alpha, alpha)`` (UniformInterior), then theta and phi by
+    ``uniform(0, 2*pi)``.  ``seed`` is an int or a SeedSequence; the
+    generator stays private, so drawing past the last point is harmless.
+    """
+    alpha = pdl_class.alpha
+    n_angles = 2 if model is Model.COMPLEX else 1
+    rng = np.random.default_rng(seed)
+    if mode is SampleMode.UNIFORM_INTERIOR:
+        u = rng.random((count, 1 + n_angles))  # uniform(low, high) is low + (high - low) * random()
+        gamma = -alpha + 2.0 * alpha * u[:, 0]
+        angles = u[:, 1:]
+    elif mode is SampleMode.WORST_CASE_EDGE:
+        # integers(0, 2) is the top bit of a 32-bit half of a PCG64 word: the
+        # low half of a fresh word, then the buffered high half at the next
+        # call, while random() takes whole words as (word >> 11) * 2**-53.  So
+        # each pair of points reads one word for both signs, then the angles
+        # of the first point and of the second.
+        words = rng.bit_generator.random_raw((-(-count // 2), 1 + 2 * n_angles))
+        top_bits = np.stack([words[:, 0] >> 31 & 1, words[:, 0] >> 63], axis=1).reshape(-1)
+        gamma = alpha * np.where(top_bits[:count] == 1, 1.0, -1.0)
+        angles = ((words[:, 1:] >> 11) * 2.0**-53).reshape(-1, n_angles)[:count]
+    else:
+        raise ValueError(f"{mode.value} is not a random sampling mode")
+    theta = TWO_PI * angles[:, 0]  # uniform(0, 2*pi); adding the 0.0 changes no bit
+    return ChannelParams(gamma, theta, TWO_PI * angles[:, 1] if n_angles == 2 else None)
 
 
 def sample_params(
@@ -216,8 +252,8 @@ def sample_params(
     WorstCaseEdge draws gamma from {-alpha, +alpha} with theta (and phi)
     uniform; UniformInterior draws gamma uniformly on [-alpha, alpha]; Grid
     walks the deterministic lattice (gamma outermost, phi innermost) and
-    ignores ``seed`` and ``count``.  Random modes require ``count`` and are
-    deterministic for a fixed seed.
+    ignores ``seed`` and ``count``.  Random modes require ``count`` and yield
+    the points of :func:`draw_params` one by one.
     """
     alpha = pdl_class.alpha
     use_phi = model is Model.COMPLEX
@@ -232,12 +268,7 @@ def sample_params(
         return
     if count is None:
         raise ValueError(f"{mode.value} sampling requires count")
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        if mode is SampleMode.WORST_CASE_EDGE:
-            g = alpha * (1.0 if rng.integers(0, 2) == 1 else -1.0)
-        else:
-            g = rng.uniform(-alpha, alpha)
-        t = rng.uniform(0.0, TWO_PI)
-        p = rng.uniform(0.0, TWO_PI) if use_phi else None
+    params = draw_params(pdl_class, mode, model, seed, count)
+    phis = params.phi.tolist() if use_phi else [None] * count
+    for g, t, p in zip(params.gamma.tolist(), params.theta.tolist(), phis):
         yield ChannelParams(g, t, p)

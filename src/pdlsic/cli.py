@@ -23,8 +23,7 @@ from .channel import (
     SampleMode,
     SnrSpec,
     alpha_from_pdl_db,
-    sample_params,
-    stack_params,
+    draw_params,
     validate_alpha,
 )
 from .equalize import (
@@ -52,6 +51,9 @@ CURVE_COLUMNS = (
     "c_parallel_approx",
     "c_nonjoint",
 )
+
+#: Row limit of ``curves``: 33 times the 30001 rows of 0-30 dB at 0.001 dB.
+MAX_CURVE_ROWS = 10**6
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -112,6 +114,8 @@ def cmd_curves(args) -> int:
         raise ValueError("curves needs finite snr-db-min <= snr-db-max and a finite positive step")
     # the slack keeps a last step that lands on snr-db-max up to rounding
     n = math.floor(steps + 1e-9)
+    if n + 1 > MAX_CURVE_ROWS:
+        raise ValueError(f"curves would have {n + 1} rows; at most {MAX_CURVE_ROWS} are allowed")
     snr_db = np.minimum(args.snr_db_min + step * np.arange(n + 1), args.snr_db_max)
     snr = 10.0 ** (snr_db / 10.0)
     columns = [
@@ -150,9 +154,7 @@ def _models_from_arg(model_arg: str) -> list[Model]:
 
 def _sampled_params(args, alpha: float, model: Model) -> ChannelParams:
     """The suite's random draws for one model, as one array-valued ChannelParams."""
-    return stack_params(sample_params(
-        PdlClass(alpha), SampleMode.UNIFORM_INTERIOR, model, seed=args.seed, count=args.draws
-    ))
+    return draw_params(PdlClass(alpha), SampleMode.UNIFORM_INTERIOR, model, args.seed, args.draws)
 
 
 def _suite_orthogonality(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:

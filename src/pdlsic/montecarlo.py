@@ -20,7 +20,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
-from itertools import cycle, islice
+from itertools import cycle, groupby, islice
 
 import numpy as np
 from scipy.special import erfc
@@ -33,6 +33,7 @@ from .channel import (
     SampleMode,
     SnrSpec,
     channel_matrix,
+    draw_params,
     sample_params,
     stack_params,
     validate_alpha,
@@ -45,6 +46,12 @@ from .equalize import (
     post_sic_streams,
 )
 from .precode import effective_channel, universal_precoder
+
+#: Elements per chunk array of the per-block symbols, noise and their
+#: products: blocks of equal length are simulated C at a time, with C the
+#: largest count within this bound (at least one).  The bound keeps the
+#: arrays small; the report does not depend on it.
+CHUNK_ELEMENTS = 2**12
 
 _PAM_PATTERN = re.compile(r"^PAM\((\d+)\)$")
 _PAM_ORDERS = (2, 4, 8)
@@ -264,10 +271,10 @@ class SimReport:
 def _block_params(config: SimConfig, seed) -> ChannelParams:
     """The block parameters, stacked; Grid runs cycle the lattice, drawing only what they use."""
     pdl, n_blocks = PdlClass(config.alpha), config.n_blocks
-    draws = sample_params(pdl, config.param_mode, config.model, seed=seed, count=n_blocks)
-    if config.param_mode is SampleMode.GRID:  # the lattice ignores count
-        draws = cycle(draws)
-    return stack_params(islice(draws, n_blocks))
+    if config.param_mode is SampleMode.GRID:
+        lattice = sample_params(pdl, SampleMode.GRID, config.model)
+        return stack_params(islice(cycle(lattice), n_blocks))
+    return draw_params(pdl, config.param_mode, config.model, seed, n_blocks)
 
 
 def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:
@@ -275,11 +282,27 @@ def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:
     return np.clip(idx, 0, order - 1).astype(np.int64)
 
 
+def _chunks(trial_counts: list[int], n: int):
+    """``(start, stop)`` runs of blocks with equal trial counts, each within CHUNK_ELEMENTS.
+
+    A chunk holds at most CHUNK_ELEMENTS // (n * trials) blocks, and at least one.
+    """
+    start = 0
+    for n_trials, group in groupby(trial_counts):
+        stop = start + len(list(group))
+        size = max(1, CHUNK_ELEMENTS // (n * n_trials))
+        for b in range(start, stop, size):
+            yield b, min(b + size, stop)
+        start = stop
+
+
 def _simulate_blocks(config: SimConfig, params: ChannelParams, block_seeds, trial_counts):
     """Per-block sums of each stage and, for PAM, per-block symbol errors.
 
     The channel H, first-stage equalizer E and diag(E @ H) of every block
-    are built in one call; each block then draws only its symbols and noise.
+    are built in one call.  Each block then only draws its symbols and noise,
+    from its own seed, into the arrays of its chunk; everything else is one
+    stacked call per chunk, bitwise equal to the same call per block.
     A stage's sums are ``(3, B, n, n)``: u u^T, u z^T and z z^T (n/2 streams
     in stage 2).  Errors are None or ``(2, B, n)``: genie, then
     decision-directed cancellation (the same without SIC).
@@ -301,32 +324,44 @@ def _simulate_blocks(config: SimConfig, params: ChannelParams, block_seeds, tria
         moments.append(np.empty((3, n_blocks, k, k)))
     errors = None if order is None else np.empty((2, n_blocks, n), dtype=np.int64)
 
-    for b, (seed, n_trials) in enumerate(zip(block_seeds, trial_counts)):
-        rng = np.random.default_rng(seed)
+    def products(a, b):  # a a^T, a b^T, b b^T over the chunk
+        return a @ a.swapaxes(1, 2), a @ b.swapaxes(1, 2), b @ b.swapaxes(1, 2)
+
+    for start, stop in _chunks(trial_counts, n):  # H is square: n == m
+        chunk = slice(start, stop)
+        shape = (stop - start, n, trial_counts[start])
+        u = np.empty(shape)
+        idx = None if order is None else np.empty(shape, dtype=np.int64)
+        z = np.empty((stop - start, m, shape[2]))
+        for c, seed in enumerate(block_seeds[chunk]):
+            rng = np.random.default_rng(seed)
+            if order is None:
+                rng.standard_normal(out=u[c])
+            else:
+                idx[c] = rng.integers(0, order, size=shape[1:])
+            rng.standard_normal(out=z[c])
         if order is None:
-            u = math.sqrt(s) * rng.standard_normal((n, n_trials))
+            u *= math.sqrt(s)
         else:
-            idx = rng.integers(0, order, size=(n, n_trials))
             u = delta * (2.0 * idx - (order - 1))
-        z = rng.standard_normal((m, n_trials))
-        y = h[b] @ u + z
-        ey = e[b] @ y
-        u_tilde = lam[b][:, None] * u
-        z_tilde = ey - u_tilde
-        moments[0][:, b] = u_tilde @ u_tilde.T, u_tilde @ z_tilde.T, z_tilde @ z_tilde.T
+
+        h_c, lam_c = h[chunk], lam[chunk, :, None]
+        y = h_c @ u + z
+        ey = e[chunk] @ y
+        u_tilde = lam_c * u
+        moments[0][:, chunk] = products(u_tilde, ey - u_tilde)
         if order is not None:
-            idx1_hat = _pam_slice(ey / lam[b][:, None], delta, order)
-            errors[:, b] = (idx1_hat != idx).sum(axis=1)
+            idx1_hat = _pam_slice(ey / lam_c, delta, order)
+            errors[:, chunk] = (idx1_hat != idx).sum(axis=2)
 
         if config.scheme.is_sic:
-            y_hat = cancel_first_group(h[b], u[:k], y)
-            u_hat, z_hat = u[k:], y_hat - u[k:]
-            moments[1][:, b] = u_hat @ u_hat.T, u_hat @ z_hat.T, z_hat @ z_hat.T
+            y_hat = cancel_first_group(h_c, u[:, :k], y)
+            moments[1][:, chunk] = products(u[:, k:], y_hat - u[:, k:])
             if order is not None:
-                u_dd = delta * (2.0 * idx1_hat[:k] - (order - 1))
-                y_hat_dd = cancel_first_group(h[b], u_dd, y)
-                errors[0, b, k:] = (_pam_slice(y_hat, delta, order) != idx[k:]).sum(axis=1)
-                errors[1, b, k:] = (_pam_slice(y_hat_dd, delta, order) != idx[k:]).sum(axis=1)
+                u_dd = delta * (2.0 * idx1_hat[:, :k] - (order - 1))
+                y_hat_dd = cancel_first_group(h_c, u_dd, y)
+                errors[0, chunk, k:] = (_pam_slice(y_hat, delta, order) != idx[:, k:]).sum(axis=2)
+                errors[1, chunk, k:] = (_pam_slice(y_hat_dd, delta, order) != idx[:, k:]).sum(axis=2)
     return moments, errors
 
 

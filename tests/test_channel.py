@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdlsic.channel import (
+    TWO_PI,
     ChannelParams,
     Model,
     PdlClass,
@@ -13,6 +16,7 @@ from pdlsic.channel import (
     SnrSpec,
     alpha_from_pdl_db,
     channel_matrix,
+    draw_params,
     pdl_db_from_alpha,
     sample_params,
     stack_params,
@@ -227,3 +231,49 @@ class TestSampling:
     def test_random_modes_require_count(self):
         with pytest.raises(ValueError):
             list(sample_params(PdlClass(0.3), SampleMode.WORST_CASE_EDGE, Model.REAL))
+
+
+def scalar_draws(alpha, mode, model, seed, count):
+    """Reference stream: one point at a time from default_rng(seed), gamma then theta then phi."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        if mode is SampleMode.WORST_CASE_EDGE:
+            g = alpha * (1.0 if rng.integers(0, 2) == 1 else -1.0)
+        else:
+            g = rng.uniform(-alpha, alpha)
+        t = rng.uniform(0.0, TWO_PI)
+        p = rng.uniform(0.0, TWO_PI) if model is Model.COMPLEX else None
+        points.append(ChannelParams(g, t, p))
+    return stack_params(points)
+
+
+class TestDrawParams:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from([SampleMode.WORST_CASE_EDGE, SampleMode.UNIFORM_INTERIOR]),
+        model=st.sampled_from(list(Model)),
+        seed=st.integers(0, 2**128),
+        alpha=st.floats(0.0, 1.0, exclude_max=True),
+        count=st.integers(1, 41),
+    )
+    def test_matches_the_scalar_stream(self, mode, model, seed, alpha, count):
+        drawn = draw_params(PdlClass(alpha), mode, model, seed, count)
+        expect = scalar_draws(alpha, mode, model, seed, count)
+        assert np.array_equal(drawn.gamma, expect.gamma)
+        assert np.array_equal(drawn.theta, expect.theta)
+        if model is Model.REAL:
+            assert drawn.phi is None
+        else:
+            assert np.array_equal(drawn.phi, expect.phi)
+
+    def test_takes_a_seed_sequence(self):
+        seq = np.random.SeedSequence(7).spawn(2)[0]
+        drawn = draw_params(PdlClass(0.6), SampleMode.WORST_CASE_EDGE, Model.COMPLEX, seq, 9)
+        expect = scalar_draws(0.6, SampleMode.WORST_CASE_EDGE, Model.COMPLEX, seq, 9)
+        assert np.array_equal(drawn.gamma, expect.gamma)
+        assert np.array_equal(drawn.phi, expect.phi)
+
+    def test_grid_is_not_random(self):
+        with pytest.raises(ValueError):
+            draw_params(PdlClass(0.3), SampleMode.GRID, Model.REAL, 0, 5)

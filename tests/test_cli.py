@@ -66,6 +66,7 @@ class TestCurves:
             ["--snr-db-min", "nan"],
             ["--snr-db-step", "nan"],
             ["--snr-db-min=-1e308", "--snr-db-max", "1e308"],  # the span overflows
+            ["--snr-db-max", "1e12", "--snr-db-step", "1e-3"],  # was a MemoryError, exit 1
         ):
             code, out, err = run_cli(["curves", "--alpha", "0.5", *bounds], capsys)
             assert code == 2, bounds

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from pdlsic import capacity
+from pdlsic import capacity, montecarlo
 from pdlsic.channel import Model, PdlClass, SampleMode, SnrSpec, sample_params
 from pdlsic.equalize import StreamScheme, closed_form_stream_snr
 from pdlsic.montecarlo import (
@@ -130,6 +130,24 @@ class TestReproducibility:
         assert rep.snr_stderr is None
         payload = json.loads(rep.to_json())
         assert payload["snr_stderr"] is None
+
+
+class TestChunking:
+    @pytest.mark.parametrize("overrides", [
+        dict(model=Model.COMPLEX, trials=2003, block_size=10),  # ragged last block
+        dict(model=Model.COMPLEX, scheme=Scheme.ZF_SIC, constellation="PAM(4)", snr=SnrSpec(8.0),
+             trials=2003, block_size=10),  # decision-directed errors
+        dict(scheme=Scheme.NOPRECODE_ZF, param_mode=SampleMode.UNIFORM_INTERIOR,
+             trials=3000, block_size=7),
+        dict(param_mode=SampleMode.GRID, constellation="PAM(8)", trials=1000, block_size=3),
+        dict(model=Model.COMPLEX, trials=700, block_size=1000),  # a single block
+    ])
+    @pytest.mark.parametrize("bound", [1, 300, 2**30])
+    def test_chunk_bound_does_not_change_the_report(self, monkeypatch, overrides, bound):
+        cfg = config(report_blocks=True, **overrides)
+        default = run(cfg).to_json()
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", bound)
+        assert run(cfg).to_json() == default
 
 
 class TestGaussianRuns:
