@@ -195,11 +195,9 @@ def channel_matrix(params: ChannelParams) -> np.ndarray:
             [a * sp, b * sp, a * cp, -(b * cp)],
             [e * sp, -(f * sp), e * cp, f * cp],
         ]
-    out = np.empty(np.shape(rows[-1][-1]) + (len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            out[..., i, j] = entry
-    return out
+    entries = np.array(rows)  # (d, d, *batch); move the matrix axes last
+    entries = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
+    return np.ascontiguousarray(entries)
 
 
 def draw_params(
