@@ -6,8 +6,9 @@ estimators stratify by block.  The channels and equalizers of all blocks
 are built in one batched call; each block then draws its symbols and noise
 from its own seed, derived up front from the master seed, the arithmetic
 runs stacked over chunks of blocks, and per-block results are summed in
-block order, so a report is byte-identical for a fixed config.  Standard errors come from a per-block jackknife, which
-respects block correlation without distributional assumptions.
+block order, so a report is byte-identical for a fixed config.  Standard
+errors come from a per-block jackknife, which respects block correlation
+without distributional assumptions.
 
 Gaussian inputs are the default oracle; PAM exists solely to certify that
 the synthesized streams behave as scalar AWGN channels under a standard
