@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SnrSpec, TWO_PI, ChannelParams, Model, channel_matrix, validate_alpha
+from .channel import SnrSpec, TWO_PI, ChannelParams, Model, channel_entries, validate_alpha
 from .precode import Precoder
 
 #: Default grid resolutions for the max-min searches.  201 points in beta
@@ -219,20 +219,32 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
     inputs, C of these SNRs are exactly the chain-rule mutual information
     terms, so their sum is the full mutual information.
 
-    All n of them come from one Cholesky factorization L L^T of A with its
-    indices reversed: pivot n-1-i of L is the Schur complement of the
-    trailing block A[i+1:, i+1:] in A[i:, i:], which is 1/[(A[i:, i:])^-1]_00
-    (the MMSE-SIC SNRs are the Cholesky pivots).  ``gram`` must be symmetric
-    positive semidefinite: the factorization reads only the lower triangle of
-    the reversed matrix, which is the upper triangle of ``gram``.
+    1/[(A[i:, i:])^-1]_00 is the Schur complement of A[i+1:, i+1:] in
+    A[i:, i:].  One reverse Cholesky A = U U^T, U upper triangular and
+    unrolled from the last pivot down, gives all n in the Schur form
+    snr * Gram_ii - sum_{j>i} U_ij^2, which never adds the 1 only to take it
+    away.  It reads only the upper triangle ``gram[..., a, b]``, a <= b, each
+    entry as one array over the stack (contiguous for an entry-major stack),
+    so ``gram`` must be symmetric positive semidefinite.
     """
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr
     gram = np.asarray(gram, float)
     n = gram.shape[-1]
-    a = snr * gram
-    a += np.eye(n)
-    pivots = np.diagonal(np.linalg.cholesky(a[..., ::-1, ::-1]), axis1=-2, axis2=-1)[..., ::-1]
-    return pivots**2 - 1.0
+    u = [[None] * n for _ in range(n)]  # u[k][i] = U_ki for k < i
+    out = np.empty(gram.shape[:-1])
+    for i in range(n - 1, -1, -1):
+        schur = snr * gram[..., i, i]
+        for j in range(i + 1, n):
+            schur -= u[i][j] ** 2
+        out[..., i] = schur
+        pivot = np.sqrt(schur + 1.0)
+        for k in range(i):
+            x = snr * gram[..., k, i]
+            for j in range(i + 1, n):
+                x -= u[k][j] * u[i][j]
+            x /= pivot
+            u[k][i] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,22 +281,35 @@ class StarPropertyReport:
         return self.gap_bits < self.tol
 
 
-def _gram_tensor(precoder: Precoder) -> np.ndarray:
-    """T with Gram = K.reshape(d*d) @ T for H = blockdiag(M, M) @ G and K = M^T M.
+def _gram_terms(precoder: Precoder) -> list:
+    """``((a, b), [(c, k, l), ...])`` with Gram[a, b] = sum c * K[k, l], k <= l, for a <= b.
 
-    H^T H = sum_j G_j^T K G_j over the two row blocks G_j of G, which is
-    linear in K: T[(k, l), (a, b)] = sum_j G_j[k, a] G_j[l, b].
+    H = blockdiag(M, M) @ G gives H^T H = sum_j G_j^T K G_j over the row
+    blocks G_j of G, linear in the symmetric K = M^T M; only nonzero c are kept.
     """
     n = precoder.n_streams
     blocks = precoder.entries.reshape(2, n // 2, n)
-    return np.einsum("jka,jlb->klab", blocks, blocks).reshape((n // 2) ** 2, n * n)
+    t = np.einsum("jka,jlb->klab", blocks, blocks)
+    t = t + t.transpose(1, 0, 2, 3)  # K[l, k] = K[k, l]: one term per pair, the doubled diagonal halved below
+    kl = list(zip(*np.triu_indices(n // 2)))
+    return [((a, b), [(t[k, l, a, b] / (1 + (k == l)), k, l) for k, l in kl if t[k, l, a, b]])
+            for a, b in zip(*np.triu_indices(n))]
 
 
-def _gram(m: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """The ``(b, n, n)`` Gram stack H^T H from the single-use stack ``m`` and :func:`_gram_tensor`."""
-    b, d, _ = m.shape
-    k = np.swapaxes(m, 1, 2).copy() @ m  # a contiguous M^T takes matmul's fast path
-    return (k.reshape(b, d * d) @ tensor).reshape(b, 2 * d, 2 * d)
+def _gram(params: ChannelParams, terms: list) -> np.ndarray:
+    """The entry-major Gram stack ``(n, n, *batch)`` of H^T H, built entrywise from :func:`_gram_terms`."""
+    m = channel_entries(params)
+    d = len(m)
+    mtm = {}  # the distinct entries of K = M^T M
+    for i in range(d):
+        for j in range(i, d):
+            mtm[i, j] = m[0][i] * m[0][j]
+            for r in range(1, d):
+                mtm[i, j] += m[r][i] * m[r][j]
+    gram = np.empty((2 * d, 2 * d) + np.shape(m[0][0]))
+    for (a, b), entry_terms in terms:
+        gram[a, b] = gram[b, a] = sum(c * mtm[k, l] for c, k, l in entry_terms)
+    return gram
 
 
 def verify_star_property(
@@ -315,7 +340,7 @@ def verify_star_property(
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     use_phi = precoder.model is Model.COMPLEX
     phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False) if use_phi else np.array([0.0])
-    tensor = _gram_tensor(precoder)
+    terms = _gram_terms(precoder)
 
     lhs = np.inf
     lhs_at = None
@@ -327,7 +352,7 @@ def verify_star_property(
     streams = np.arange(n)
     for g in gammas:
         sheet = ChannelParams(np.full(tt.size, g), tt, pp)
-        snrs = successive_stream_snrs(_gram(channel_matrix(sheet), tensor), snr)
+        snrs = successive_stream_snrs(np.moveaxis(_gram(sheet, terms), -1, 0), snr)
         sums = (0.5 * np.log2(1.0 + snrs)).sum(axis=1)
         j = int(sums.argmin())
         if sums[j] < lhs:

@@ -173,6 +173,23 @@ def stack_params(points: Iterable[ChannelParams]) -> ChannelParams:
     return ChannelParams(gamma, theta, phi)
 
 
+def channel_entries(params: ChannelParams) -> list[list]:
+    """Entries of :func:`channel_matrix` as nested lists: ``rows[i][j]`` is entry (i, j) over the batch."""
+    c, s = np.cos(params.theta), np.sin(params.theta)
+    rp, rm = np.sqrt(1.0 + params.gamma), np.sqrt(1.0 - params.gamma)
+    # rows of D_gamma @ R_theta: [a, -b] and [e, f]
+    a, b, e, f = rp * c, rp * s, rm * s, rm * c
+    if params.phi is None:
+        return [[a, -b], [e, f]]
+    cp, sp = np.cos(params.phi), np.sin(params.phi)
+    return [
+        [a * cp, -(b * cp), -(a * sp), -(b * sp)],
+        [e * cp, f * cp, -(e * sp), f * sp],
+        [a * sp, b * sp, a * cp, -(b * cp)],
+        [e * sp, -(f * sp), e * cp, f * cp],
+    ]
+
+
 def channel_matrix(params: ChannelParams) -> np.ndarray:
     """Single-use matrix D_gamma @ R_theta (real) or D_gamma @ R_theta @ B_phi (complex).
 
@@ -181,21 +198,7 @@ def channel_matrix(params: ChannelParams) -> np.ndarray:
     parts in 3-4, so the matrix is the real representation [[A, -B], [B, A]]
     of the complex 2x2 channel A + iB.
     """
-    c, s = np.cos(params.theta), np.sin(params.theta)
-    rp, rm = np.sqrt(1.0 + params.gamma), np.sqrt(1.0 - params.gamma)
-    # rows of D_gamma @ R_theta: [a, -b] and [e, f]
-    a, b, e, f = rp * c, rp * s, rm * s, rm * c
-    if params.phi is None:
-        rows = [[a, -b], [e, f]]
-    else:
-        cp, sp = np.cos(params.phi), np.sin(params.phi)
-        rows = [
-            [a * cp, -(b * cp), -(a * sp), -(b * sp)],
-            [e * cp, f * cp, -(e * sp), f * sp],
-            [a * sp, b * sp, a * cp, -(b * cp)],
-            [e * sp, -(f * sp), e * cp, f * cp],
-        ]
-    entries = np.array(rows)  # (d, d, *batch); move the matrix axes last
+    entries = np.array(channel_entries(params))  # (d, d, *batch); move the matrix axes last
     entries = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
     return np.ascontiguousarray(entries)
 

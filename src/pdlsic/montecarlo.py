@@ -297,13 +297,14 @@ def _chunks(trial_counts: list[int], n: int):
         start = stop
 
 
-def _simulate_blocks(config: SimConfig, params: ChannelParams, block_seeds, trial_counts):
+def _simulate_blocks(config: SimConfig, params: ChannelParams, blocks_root, trial_counts):
     """Per-block sums of each stage and, for PAM, per-block symbol errors.
 
     The channel H, first-stage equalizer E and diag(E @ H) of every block
     are built in one call.  Each block then only draws its symbols and noise,
     from its own seed, into the arrays of its chunk; everything else is one
-    stacked call per chunk, bitwise equal to the same call per block.
+    stacked call per chunk, bitwise equal to the same call per block.  Block
+    b's seed is child b of ``blocks_root``, spawned chunk by chunk.
     A stage's sums are ``(3, B, n, n)``: u u^T, u z^T and z z^T (n/2 streams
     in stage 2).  Errors are None or ``(2, B, n)``: genie, then
     decision-directed cancellation (the same without SIC).
@@ -334,7 +335,7 @@ def _simulate_blocks(config: SimConfig, params: ChannelParams, block_seeds, tria
         u = np.empty(shape)
         idx = None if order is None else np.empty(shape, dtype=np.int64)
         z = np.empty((stop - start, m, shape[2]))
-        for c, seed in enumerate(block_seeds[chunk]):
+        for c, seed in enumerate(blocks_root.spawn(stop - start)):
             rng = np.random.default_rng(seed)
             if order is None:
                 rng.standard_normal(out=u[c])
@@ -434,13 +435,12 @@ def run(config: SimConfig) -> SimReport:
     master = np.random.SeedSequence(config.seed)
     params_seed, blocks_root = master.spawn(2)
     params = _block_params(config, params_seed)
-    block_seeds = blocks_root.spawn(config.n_blocks)
     trial_counts = [
         min(config.block_size, config.trials - b * config.block_size)
         for b in range(config.n_blocks)
     ]
 
-    moments, errors = _simulate_blocks(config, params, block_seeds, trial_counts)
+    moments, errors = _simulate_blocks(config, params, blocks_root, trial_counts)
 
     counts = np.array(trial_counts, dtype=float)
     stage1, block_snrs = _stage_stats(moments[0], counts)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pdlsic.capacity import _gram, _gram_tensor
+from pdlsic.capacity import _gram, _gram_terms
 from pdlsic.channel import ChannelParams, Model, SnrSpec, channel_matrix
 from pdlsic.equalize import (
     StreamScheme,
@@ -126,11 +126,9 @@ def test_orthogonal_design_maxima_match_per_draw(raw):
 @settings(max_examples=60, deadline=None)
 @given(raw_stacks())
 def test_gram_from_single_use_blocks_is_hth(raw):
-    """The star oracle's Gram, sum_j G_j^T (M^T M) G_j, against H^T H of the effective channel."""
+    """The star oracle's entry-major Gram, sum_j G_j^T (M^T M) G_j, against H^T H of the effective channel."""
     params = ChannelParams(*raw)
-    pre = PRECODERS[params.model]
-    m = channel_matrix(params)
-    d = m.shape[-1]
-    h = effective(params).matrix.reshape(-1, 2 * d, 2 * d)
-    gram = _gram(m.reshape(-1, d, d), _gram_tensor(pre))
-    assert np.abs(gram - np.swapaxes(h, 1, 2) @ h).max() < 1e-12
+    h = effective(params).matrix
+    gram = np.moveaxis(_gram(params, _gram_terms(PRECODERS[params.model])), (0, 1), (-2, -1))
+    assert gram.shape == h.shape
+    assert np.abs(gram - np.swapaxes(h, -1, -2) @ h).max() < 1e-12

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,22 @@ def inverse_stream_snrs(gram, snr):
          for i in range(n)],
         axis=-1,
     )
+
+
+def cholesky_stream_snrs(gram, snr):
+    """Reference SIC SNRs as LAPACK pivots: Cholesky of the index-reversed I + snr * Gram, pivot^2 - 1."""
+    n = gram.shape[-1]
+    a = np.eye(n) + snr * gram
+    pivots = np.diagonal(np.linalg.cholesky(a[..., ::-1, ::-1]), axis1=-2, axis2=-1)[..., ::-1]
+    return pivots**2 - 1.0
+
+
+def exact_stream_snrs(gram, snr):
+    """1/[(I + snr * Gram)[i:, i:]^-1]_00 - 1 in 50-digit arithmetic, for one float Gram taken as exact."""
+    n = gram.shape[-1]
+    with mpmath.workdps(50):
+        a = mpmath.eye(n) + mpmath.mpf(snr) * mpmath.matrix(gram.tolist())
+        return np.array([float(1 / mpmath.inverse(a[i:n, i:n])[0, 0] - 1) for i in range(n)])
 
 
 def grams(params: ChannelParams, precoder: Precoder) -> np.ndarray:
@@ -332,17 +349,36 @@ class TestSuccessiveStreamSnrs:
     @settings(max_examples=200, deadline=None)
     @given(random_grams(), st.floats(1e-3, 1e6))
     def test_cholesky_pivots_match_inverses(self, gram, snr):
-        # Both routes form I + snr * Gram and subtract 1 at the end, so each
-        # stream SNR carries an absolute rounding error of about one ulp of 1:
-        # at a stream SNR near 1e-7 (snr 1e-3, |gamma| 0.999999) that alone is
-        # ~1e-9 relative in either route.  Hence the absolute floor.
-        ref = inverse_stream_snrs(gram, snr)
+        # Both references form I + snr * Gram and subtract 1 at the end, so
+        # each of their stream SNRs carries an absolute rounding error of about
+        # one ulp of 1: at a stream SNR near 1e-7 (snr 1e-3, |gamma| 0.999999)
+        # that alone is ~1e-9 relative.  Hence the absolute floor.
         floor = 16 * np.finfo(float).eps
         got = capacity.successive_stream_snrs(gram, snr)
-        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=floor)
         single = capacity.successive_stream_snrs(gram[0], snr)
         assert single.shape == (gram.shape[-1],)
-        np.testing.assert_allclose(single, ref[0], rtol=1e-9, atol=floor)
+        for ref in (inverse_stream_snrs(gram, snr), cholesky_stream_snrs(gram, snr)):
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=floor)
+            np.testing.assert_allclose(single, ref[0], rtol=1e-9, atol=floor)
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("snr", [1e-6, 1e-3, 1.0, 1e6])
+    def test_schur_form_is_accurate_at_tiny_stream_snrs(self, model, snr):
+        # The Schur form snr * G_kk - sum_j U_kj^2 never adds and removes the 1
+        # of I + snr * Gram, so its only loss is that subtraction's
+        # cancellation: relative error within 8 eps * snr * G_kk / SNR_k of
+        # the exact SNRs of the same float Gram, down to stream SNRs near 1e-12.
+        gamma, theta, phi = np.meshgrid(
+            [-(1.0 - 1e-6), -0.6, 0.0, 0.3, 1.0 - 1e-6], [0.0, 1.0, 2.9], [0.4, 5.0])
+        if model is Model.REAL:
+            gamma, theta, phi = gamma[..., 0], theta[..., 0], None
+        else:
+            phi = phi.ravel()
+        stack = grams(ChannelParams(gamma.ravel(), theta.ravel(), phi), UNIVERSAL[model])
+        eps = np.finfo(float).eps
+        for gram, got in zip(stack, capacity.successive_stream_snrs(stack, snr)):
+            exact = exact_stream_snrs(gram, snr)
+            assert np.all(np.abs(got / exact - 1.0) <= 8 * eps * snr * np.diagonal(gram) / exact)
 
     @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, -math.inf, math.nan])
     def test_rejects_invalid_snr(self, bad):
