@@ -367,7 +367,7 @@ class TestSuccessiveStreamSnrs:
         # The Schur form snr * G_kk - sum_j U_kj^2 never adds and removes the 1
         # of I + snr * Gram, so its only loss is that subtraction's
         # cancellation: relative error within 8 eps * snr * G_kk / SNR_k of
-        # the exact SNRs of the same float Gram, down to stream SNRs near 1e-12.
+        # the exact SNRs of the same float Gram, for stream SNRs from 1e-6 up.
         gamma, theta, phi = np.meshgrid(
             [-(1.0 - 1e-6), -0.6, 0.0, 0.3, 1.0 - 1e-6], [0.0, 1.0, 2.9], [0.4, 5.0])
         if model is Model.REAL:
