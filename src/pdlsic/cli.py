@@ -36,6 +36,7 @@ from .equalize import (
 )
 from .precode import (
     effective_channel,
+    gram,
     identity_precoder,
     permute_columns,
     universal_precoder,
@@ -54,6 +55,11 @@ CURVE_COLUMNS = (
 
 #: Row limit of ``curves``: 33 times the 30001 rows of 0-30 dB at 0.001 dB.
 MAX_CURVE_ROWS = 10**6
+
+#: Rows that ``curves`` computes, formats and writes at a time.
+CURVE_CHUNK_ROWS = 4096
+
+_CURVE_ROW = ",".join(["%.12g"] * len(CURVE_COLUMNS)) + "\n"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -74,16 +80,17 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(text: str, out_path):
+def _emit(chunks, out_path):
+    """Write the text chunks, as the iterable makes them, to ``out_path`` or stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(payload: dict, out_path):
-    _emit(json.dumps(_round_floats(payload), indent=2) + "\n", out_path)
+    _emit([json.dumps(_round_floats(payload), indent=2) + "\n"], out_path)
 
 
 def _add_alpha_flags(parser):
@@ -106,7 +113,6 @@ def _count(minimum: int):
 
 
 def cmd_curves(args) -> int:
-    alpha = args.alpha
     step = args.snr_db_step
     # a finite, non-negative step count also rules out NaN or infinite bounds
     steps = (args.snr_db_max - args.snr_db_min) / step if 0 < step < math.inf else math.nan
@@ -116,22 +122,32 @@ def cmd_curves(args) -> int:
     n = math.floor(steps + 1e-9)
     if n + 1 > MAX_CURVE_ROWS:
         raise ValueError(f"curves would have {n + 1} rows; at most {MAX_CURVE_ROWS} are allowed")
-    snr_db = np.minimum(args.snr_db_min + step * np.arange(n + 1), args.snr_db_max)
-    snr = 10.0 ** (snr_db / 10.0)
-    columns = [
-        snr_db,
-        capacity.c_awgn(snr),
-        capacity.c_compound(alpha, snr),
-        capacity.c_compound_approx(alpha, snr),
-        capacity.c_parallel(alpha, snr),
-        capacity.c_parallel_approx(alpha, snr),
-        capacity.c_nonjoint(alpha, snr),
-    ]
-    lines = [",".join(CURVE_COLUMNS)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_curve_chunks(args.alpha, args.snr_db_min, args.snr_db_max, step, n + 1), args.out)
     return EXIT_OK
+
+
+def _curve_chunks(alpha: float, snr_db_min: float, snr_db_max: float, step: float, rows: int):
+    """The ``curves`` CSV: its header, then the rows in chunks of ``CURVE_CHUNK_ROWS``.
+
+    Each chunk computes its own slice of the SNR grid (the columns are
+    elementwise in it) and formats all its values in one ``%`` operation;
+    ``"%.12g" % x`` prints exactly what :func:`_fmt` does.
+    """
+    yield ",".join(CURVE_COLUMNS) + "\n"
+    for start in range(0, rows, CURVE_CHUNK_ROWS):
+        k = np.arange(start, min(start + CURVE_CHUNK_ROWS, rows))
+        snr_db = np.minimum(snr_db_min + step * k, snr_db_max)
+        snr = 10.0 ** (snr_db / 10.0)
+        block = np.column_stack([
+            snr_db,
+            capacity.c_awgn(snr),
+            capacity.c_compound(alpha, snr),
+            capacity.c_compound_approx(alpha, snr),
+            capacity.c_parallel(alpha, snr),
+            capacity.c_parallel_approx(alpha, snr),
+            capacity.c_nonjoint(alpha, snr),
+        ])
+        yield (_CURVE_ROW * len(block)) % tuple(block.ravel().tolist())
 
 
 def cmd_penalties(args) -> int:
@@ -169,7 +185,7 @@ def _suite_orthogonality(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
             "h1": rep.max_dev_h1,
             "h2": rep.max_dev_h2,
             "symmetry": rep.symmetry_defect,
-            "coupling_eigs": float(np.abs(np.swapaxes(s, 1, 2) @ s - gamma_sq).max()),
+            "coupling_eigs": float(np.abs(gram(s) - gamma_sq).max()),
         }
         passed = max(worst.values()) < 1e-10
         ok &= passed
@@ -318,7 +334,7 @@ def cmd_simulate(args) -> int:
         raw["seed"] = args.seed
     config = montecarlo.SimConfig.from_dict(raw)
     report = montecarlo.run(config)
-    _emit(report.to_json() + "\n", args.out)
+    _emit([report.to_json() + "\n"], args.out)
     return EXIT_OK
 
 

@@ -144,6 +144,16 @@ def effective_channel(
     return EffectiveChannel(h.reshape(m.shape[:-2] + (2 * d, 2 * d)), snr)
 
 
+def gram(x: np.ndarray) -> np.ndarray:
+    """x^T x over the last two axes.
+
+    The transpose is copied to a contiguous array first: numpy's batched
+    matmul of a small transposed view takes a slower loop, and the products
+    are the same.
+    """
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2)) @ x
+
+
 def interference_coupling(effective: EffectiveChannel) -> np.ndarray:
     """The matrix S in H^T H = [[I, -S], [-S, I]], recovered numerically.
 
@@ -151,9 +161,7 @@ def interference_coupling(effective: EffectiveChannel) -> np.ndarray:
     for the complex model it is extracted numerically from the product.
     """
     k = effective.n_streams // 2
-    h = effective.matrix
-    hth = np.swapaxes(h, -1, -2) @ h
-    return -hth[..., :k, k:]
+    return -gram(effective.matrix)[..., :k, k:]
 
 
 @dataclass(frozen=True)
@@ -179,9 +187,8 @@ def verify_orthogonal_design(
     On a stack the defects are maxima over all members; S is kept per member.
     """
     eye = np.eye(effective.n_streams // 2)
-    h1, h2 = effective.h1, effective.h2
-    dev1 = float(np.abs(np.swapaxes(h1, -1, -2) @ h1 - eye).max())
-    dev2 = float(np.abs(np.swapaxes(h2, -1, -2) @ h2 - eye).max())
+    dev1 = float(np.abs(gram(effective.h1) - eye).max())
+    dev2 = float(np.abs(gram(effective.h2) - eye).max())
     s = interference_coupling(effective)
     sym = float(np.abs(s - np.swapaxes(s, -1, -2)).max())
     return OrthogonalDesignReport(dev1, dev2, s, sym, tol)
