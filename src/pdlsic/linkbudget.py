@@ -62,10 +62,14 @@ class FerTable:
             raise FerTableError("FER table has no entries")
         pts = tuple(sorted(self.points, key=lambda p: p.snr_db))
         for p in pts:
+            if not math.isfinite(p.snr_db):
+                raise FerTableError(f"snr_db must be finite, got {p.snr_db}")
             if not 0.0 <= p.fer <= 1.0:
                 raise FerTableError(f"fer must lie in [0, 1], got {p.fer}")
-            if not p.rate_bits_per_real_dim > 0.0:
-                raise FerTableError(f"rate must be positive, got {p.rate_bits_per_real_dim}")
+            if not 0.0 < p.rate_bits_per_real_dim < math.inf:
+                raise FerTableError(
+                    f"rate must be positive and finite, got {p.rate_bits_per_real_dim}"
+                )
         for a, b in zip(pts, pts[1:]):
             if b.snr_db - a.snr_db < SNAP_TOL_DB:
                 raise FerTableError(
@@ -81,6 +85,8 @@ class FerTable:
                 rows = [row for row in reader if row]
         except OSError as exc:
             raise FerTableError(f"cannot read FER table {path}: {exc}") from exc
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise FerTableError(f"cannot parse FER table {path}: {exc}") from exc
         if not rows:
             raise FerTableError(f"FER table {path} is empty")
         header = tuple(cell.strip() for cell in rows[0])
