@@ -1,17 +1,51 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from pdlsic.cli import CURVE_COLUMNS, main
+from pdlsic import capacity
+from pdlsic.cli import CURVE_CHUNK_ROWS, CURVE_COLUMNS, main
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def per_value_curves(alpha, snr_db_min, snr_db_max, step):
+    """The curves CSV built whole, one format(v, ".12g") call per value."""
+    n = math.floor((snr_db_max - snr_db_min) / step + 1e-9)
+    snr_db = np.minimum(snr_db_min + step * np.arange(n + 1), snr_db_max)
+    snr = 10.0 ** (snr_db / 10.0)
+    columns = [
+        snr_db,
+        capacity.c_awgn(snr),
+        capacity.c_compound(alpha, snr),
+        capacity.c_compound_approx(alpha, snr),
+        capacity.c_parallel(alpha, snr),
+        capacity.c_parallel_approx(alpha, snr),
+        capacity.c_nonjoint(alpha, snr),
+    ]
+    lines = [",".join(CURVE_COLUMNS)]
+    lines += [",".join(format(float(v), ".12g") for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def assert_curves_match_per_value(alpha, snr_db_min, snr_db_max, step, tmp_path, capsys):
+    argv = ["curves", "--alpha", repr(alpha), f"--snr-db-min={snr_db_min!r}",
+            f"--snr-db-max={snr_db_max!r}", f"--snr-db-step={step!r}"]
+    code, printed, _ = run_cli(argv, capsys)
+    assert code == 0
+    out = tmp_path / "curves.csv"
+    assert run_cli([*argv, "--out", str(out)], capsys) == (0, "", "")
+    expect = per_value_curves(alpha, snr_db_min, snr_db_max, step)
+    assert out.read_bytes() == printed.encode() == expect.encode()
 
 
 class TestCurves:
@@ -87,6 +121,29 @@ class TestCurves:
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert len(data) == rows
         assert data["snr_db"][-1] == 30.0
+
+    # Below about -10 dB the capacities print in e-0x notation.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_max=True),
+        snr_db_min=st.floats(-120.0, 80.0),
+        span=st.floats(0.0, 150.0),
+        step=st.floats(0.01, 10.0),
+    )
+    @example(alpha=0.3, snr_db_min=-50.0, span=0.0, step=1.0)  # a single row
+    def test_bytes_match_per_value_formatting(self, alpha, snr_db_min, span, step,
+                                              tmp_path, capsys):
+        assert_curves_match_per_value(alpha, snr_db_min, snr_db_min + span, step,
+                                      tmp_path, capsys)
+
+    @pytest.mark.parametrize("rows", [1, CURVE_CHUNK_ROWS - 1, CURVE_CHUNK_ROWS,
+                                      CURVE_CHUNK_ROWS + 1, 2 * CURVE_CHUNK_ROWS + 1])
+    def test_bytes_match_per_value_formatting_at_chunk_edges(self, rows, tmp_path, capsys):
+        # a 0.25 dB step from -40 dB keeps every grid point exact in binary
+        assert_curves_match_per_value(0.599, -40.0, -40.0 + 0.25 * (rows - 1), 0.25,
+                                      tmp_path, capsys)
+        assert len((tmp_path / "curves.csv").read_text().splitlines()) == rows + 1
 
     def test_alpha_flags_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,19 @@
 """FER table ingestion, interpolation, and operating-point composition."""
 
 import math
+import string
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pdlsic.channel import SnrSpec
+from pdlsic.cli import main
 from pdlsic.linkbudget import (
+    FER_COLUMNS,
+    SNAP_TOL_DB,
     FerPoint,
     FerTable,
     FerTableError,
@@ -15,6 +22,8 @@ from pdlsic.linkbudget import (
     compose_gap,
     evaluate_operating_point,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def write_table(path, rows, header="snr_db,fer,rate_bits_per_real_dim,label"):
@@ -73,6 +82,9 @@ class TestFerTable:
             FerTable.from_csv(write_table(tmp_path / "c.csv", ["10,abc,1,x"]))
         with pytest.raises(FerTableError):
             FerTable.from_csv(write_table(tmp_path / "d.csv", ["10,1e-2,1"]))
+        for row in ("nan,1e-2,1.5,x", "inf,1e-2,1.5,x", "10,nan,1.5,x", "10,1e-2,inf,x"):
+            with pytest.raises(FerTableError):
+                FerTable.from_csv(write_table(tmp_path / "e.csv", ["9,1e-2,1.5,x", row]))
 
     def test_rejects_duplicate_snr(self):
         with pytest.raises(FerTableError):
@@ -106,6 +118,133 @@ class TestFerTable:
         table = FerTable((FerPoint(10.0, 1e-2, 1.5, "a"), FerPoint(12.0, 1e-4, 2.5, "a")))
         assert table.rate_at(10.4) == 1.5
         assert table.rate_at(11.9) == 2.5
+
+
+@st.composite
+def fer_points(draw):
+    """2 to 8 valid rows, at least 0.01 dB apart (ten snap tolerances)."""
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+    snrs = draw(st.floats(-10.0, 30.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    return [
+        FerPoint(
+            float(snr),
+            draw(st.floats(1e-9, 1.0)),
+            draw(st.floats(0.01, 5.0)),
+            draw(st.text(string.ascii_letters + string.digits + "-/", min_size=1, max_size=8)),
+        )
+        for snr in snrs
+    ]
+
+
+def csv_rows(points):
+    return [f"{p.snr_db!r},{p.fer!r},{p.rate_bits_per_real_dim!r},{p.label}" for p in points]
+
+
+def finite_float(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+# Characters that cannot change how the csv module splits a row.
+NO_CSV_SYNTAX = st.characters(blacklist_characters=',"\r\n')
+
+# Multi-row tables written to disk: the bundled tables have one row each.
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestFerTableProperties:
+    @PROPERTY_SETTINGS
+    @given(points=fer_points(), data=st.data())
+    def test_csv_round_trip(self, points, data, tmp_path):
+        shuffled = data.draw(st.permutations(points))
+        table = FerTable.from_csv(write_table(tmp_path / "t.csv", csv_rows(shuffled)))
+        assert table.points == tuple(points)
+
+    @PROPERTY_SETTINGS
+    @given(points=fer_points(), data=st.data())
+    def test_log_linear_between_rows(self, points, data, tmp_path):
+        table = FerTable.from_csv(write_table(tmp_path / "t.csv", csv_rows(points)))
+        i = data.draw(st.integers(0, len(points) - 2))
+        lo, hi = points[i], points[i + 1]
+        # at least 0.002 dB from either row, and off the rate_at midpoint
+        w = data.draw(st.floats(0.2, 0.45) | st.floats(0.55, 0.8))
+        snr_db = lo.snr_db + w * (hi.snr_db - lo.snr_db)
+        w = (snr_db - lo.snr_db) / (hi.snr_db - lo.snr_db)
+        expect = 10.0 ** ((1.0 - w) * math.log10(lo.fer) + w * math.log10(hi.fer))
+        fer = table.fer_at(snr_db)
+        assert fer == pytest.approx(expect, rel=1e-9)
+        assert min(lo.fer, hi.fer) * (1 - 1e-12) <= fer <= max(lo.fer, hi.fer) * (1 + 1e-12)
+        assert table.rate_at(snr_db) == (lo if w < 0.5 else hi).rate_bits_per_real_dim
+
+    @PROPERTY_SETTINGS
+    @given(points=fer_points(), data=st.data())
+    def test_snaps_to_a_row_within_tolerance(self, points, data, tmp_path):
+        table = FerTable.from_csv(write_table(tmp_path / "t.csv", csv_rows(points)))
+        row = data.draw(st.sampled_from(points))
+        snr_db = row.snr_db + data.draw(st.floats(-0.9 * SNAP_TOL_DB, 0.9 * SNAP_TOL_DB))
+        assert table.fer_at(snr_db) == row.fer
+        assert table.rate_at(snr_db) == row.rate_bits_per_real_dim
+
+    @PROPERTY_SETTINGS
+    @given(points=fer_points(), beyond=st.floats(1.01 * SNAP_TOL_DB, 50.0))
+    def test_never_extrapolates(self, points, beyond, tmp_path):
+        table = FerTable.from_csv(write_table(tmp_path / "t.csv", csv_rows(points)))
+        for snr_db in (points[0].snr_db - beyond, points[-1].snr_db + beyond):
+            with pytest.raises(SnrOutOfRangeError) as exc:
+                table.fer_at(snr_db)
+            assert exc.value.required_snr_db == snr_db
+            with pytest.raises(SnrOutOfRangeError):
+                table.rate_at(snr_db)
+
+    @PROPERTY_SETTINGS
+    @given(points=fer_points(), data=st.data())
+    def test_cli_rejects_malformed_csv(self, points, data, tmp_path, capsys):
+        rows = csv_rows(points)
+        header = ",".join(FER_COLUMNS)
+        r = data.draw(st.integers(0, len(rows) - 1))
+        cells = rows[r].split(",")
+        defect = data.draw(st.sampled_from(
+            ["token", "out_of_range", "missing_cell", "extra_cell", "header", "duplicate"]))
+        if defect == "token":  # a cell that is not a finite number
+            col = data.draw(st.integers(0, 2))
+            cells[col] = data.draw(
+                st.text(NO_CSV_SYNTAX, max_size=6)
+                .filter(lambda t: not finite_float(t))
+                | st.sampled_from(["nan", "inf", "-inf", "1e999"])
+            )
+        elif defect == "out_of_range":
+            col, bad = data.draw(st.sampled_from([
+                (1, st.floats(1.0, 1e6, exclude_min=True)),
+                (1, st.floats(-1e6, -1e-12)),
+                (2, st.floats(-1e6, 0.0)),
+            ]))
+            cells[col] = repr(data.draw(bad))
+        elif defect == "missing_cell":
+            del cells[data.draw(st.integers(0, 3))]
+        elif defect == "extra_cell":
+            cells.append(data.draw(st.text(NO_CSV_SYNTAX, max_size=4)))
+        elif defect == "header":
+            header = data.draw(
+                st.text(st.characters(blacklist_characters='"\r\n'), max_size=40)
+                .filter(lambda t: tuple(c.strip() for c in t.split(",")) != FER_COLUMNS)
+            )
+        else:  # a second row closer than the snap tolerance
+            shift = data.draw(st.floats(0.0, 0.9 * SNAP_TOL_DB))
+            rows.append(",".join([repr(points[r].snr_db + shift), *cells[1:]]))
+        rows[r] = ",".join(cells)
+        path = write_table(tmp_path / "bad.csv", rows, header=header)
+        with pytest.raises(FerTableError):  # refused when read, not by a later lookup
+            FerTable.from_csv(path)
+        code = main(["fer", "--alpha", "0.599", "--snr-db", "13.01", "--table1", str(path),
+                     "--table2", str(DATA / "fer_code2_16ask_pas.csv")])
+        captured = capsys.readouterr()
+        assert code == 2, (defect, path.read_text())
+        assert captured.out == "" and "error" in captured.err
 
 
 class TestCompose:
