@@ -13,7 +13,6 @@ it from the shell.
 
 from .capacity import (
     MeanIdentityReport,
-    MiTerms,
     PdlPenalties,
     StarPropertyReport,
     WorstCaseSearch,
@@ -25,7 +24,6 @@ from .capacity import (
     c_parallel_approx,
     inverse_c_compound,
     mean_identity_check,
-    mi_terms,
     penalties_db,
     verify_star_property,
     worst_case_search,
@@ -39,9 +37,9 @@ from .channel import (
     alpha_from_pdl_db,
     channel_matrix,
     draw_params,
+    lattice,
     pdl_db_from_alpha,
     sample_params,
-    stack_params,
     validate_alpha,
 )
 from .equalize import (

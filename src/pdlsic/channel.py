@@ -12,26 +12,21 @@ Noise variance is fixed at 1 per real dimension everywhere; the SNR carries
 all scaling.  All dB values are power dB (10*log10).  Every type here is an
 immutable value and every operation a pure function.
 
-:class:`ChannelParams` fields may be equal-shape arrays instead of scalars;
-:func:`channel_matrix` then returns the stack of matrices over those leading
-axes, and a scalar point is simply a batch of one.
+:class:`ChannelParams` fields may be arrays that broadcast together instead
+of scalars; :func:`channel_matrix` then returns the stack of matrices over
+their broadcast shape, and a scalar point is simply a batch of one.
+:func:`lattice` relies on this: its gamma column and theta/phi row stand for
+the whole Grid lattice without storing it.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-#: Default lattice resolution for Grid sampling.  The gamma grid includes
-#: both endpoints +-alpha (provably the worst case); theta and phi are
-#: periodic so their grids exclude the right endpoint.
-GRID_N_GAMMA = 41
-GRID_N_THETA = 64
-GRID_N_PHI = 64
 
 
 class Model(enum.Enum):
@@ -103,10 +98,6 @@ class PdlClass:
     def pdl_db(self) -> float:
         return pdl_db_from_alpha(self.alpha)
 
-    @classmethod
-    def from_db(cls, pdl_db: float) -> "PdlClass":
-        return cls(alpha_from_pdl_db(pdl_db))
-
 
 @dataclass(frozen=True)
 class SnrSpec:
@@ -144,7 +135,8 @@ class ChannelParams:
     """One member of the compound class, or a stack of members.
 
     ``theta`` and ``phi`` are normalized into [0, 2*pi); ``phi`` is present
-    only for the complex model.  Fields are scalars or equal-shape arrays.
+    only for the complex model.  Fields are scalars or arrays that broadcast
+    together.
     """
 
     gamma: float | np.ndarray
@@ -163,25 +155,15 @@ class ChannelParams:
         return Model.REAL if self.phi is None else Model.COMPLEX
 
 
-def stack_params(points: Iterable[ChannelParams]) -> ChannelParams:
-    """Scalar points of one model stacked into one ChannelParams with array fields of shape (n,)."""
-    points = list(points)
-    if not points:
-        raise ValueError("stack_params needs at least one point")
-    gamma, theta = np.array([p.gamma for p in points]), np.array([p.theta for p in points])
-    phi = None if points[0].phi is None else np.array([p.phi for p in points])
-    return ChannelParams(gamma, theta, phi)
-
-
-def channel_entries(params: ChannelParams) -> list[list]:
-    """Entries of :func:`channel_matrix` as nested lists: ``rows[i][j]`` is entry (i, j) over the batch."""
-    c, s = np.cos(params.theta), np.sin(params.theta)
-    rp, rm = np.sqrt(1.0 + params.gamma), np.sqrt(1.0 - params.gamma)
+def channel_entries(gamma, theta, phi=None) -> list[list]:
+    """Entries of :func:`channel_matrix` from ChannelParams fields; ``rows[i][j]`` is entry (i, j)."""
+    c, s = np.cos(theta), np.sin(theta)
+    rp, rm = np.sqrt(1.0 + gamma), np.sqrt(1.0 - gamma)
     # rows of D_gamma @ R_theta: [a, -b] and [e, f]
     a, b, e, f = rp * c, rp * s, rm * s, rm * c
-    if params.phi is None:
+    if phi is None:
         return [[a, -b], [e, f]]
-    cp, sp = np.cos(params.phi), np.sin(params.phi)
+    cp, sp = np.cos(phi), np.sin(phi)
     return [
         [a * cp, -(b * cp), -(a * sp), -(b * sp)],
         [e * cp, f * cp, -(e * sp), f * sp],
@@ -194,11 +176,12 @@ def channel_matrix(params: ChannelParams) -> np.ndarray:
     """Single-use matrix D_gamma @ R_theta (real) or D_gamma @ R_theta @ B_phi (complex).
 
     Written entry by entry, so array-valued params give a ``(..., d, d)``
-    stack.  The complex layout puts real parts in entries 1-2 and imaginary
-    parts in 3-4, so the matrix is the real representation [[A, -B], [B, A]]
-    of the complex 2x2 channel A + iB.
+    stack over the broadcast shape of the fields.  The complex layout puts
+    real parts in entries 1-2 and imaginary parts in 3-4, so the matrix is
+    the real representation [[A, -B], [B, A]] of the complex 2x2 channel A + iB.
     """
-    entries = np.array(channel_entries(params))  # (d, d, *batch); move the matrix axes last
+    # (d, d, *batch); move the matrix axes last
+    entries = np.array(channel_entries(params.gamma, params.theta, params.phi))
     entries = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
     return np.ascontiguousarray(entries)
 
@@ -237,6 +220,27 @@ def draw_params(
     return ChannelParams(gamma, theta, TWO_PI * angles[:, 1] if n_angles == 2 else None)
 
 
+def lattice(alpha: float, model: Model, n_gamma=41, n_theta=64, n_phi=64) -> ChannelParams:
+    """The (gamma, theta[, phi]) Grid lattice, gamma outermost and phi innermost.
+
+    gamma spans [-alpha, alpha] with both endpoints (provably the worst
+    case); theta and phi are periodic, so their grids exclude 2*pi.  The real
+    model ignores ``n_phi``.  ``gamma`` has shape ``(n_gamma, 1)`` and
+    ``theta``/``phi`` shape ``(1, S)`` over the S-point theta x phi sheet:
+    the fields broadcast to the lattice without storing it, point k at
+    ``[k // S, k % S]``.  The default sizes are those of Grid simulation runs.
+    """
+    validate_alpha(alpha)
+    if min(n_gamma, n_theta, n_phi) < 1:
+        raise ValueError("grid sizes must be at least 1")
+    gamma = np.linspace(-alpha, alpha, n_gamma)[:, None]
+    theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    if model is Model.REAL:
+        return ChannelParams(gamma, theta[None, :])
+    tt, pp = np.meshgrid(theta, np.linspace(0.0, TWO_PI, n_phi, endpoint=False), indexing="ij")
+    return ChannelParams(gamma, tt.reshape(1, -1), pp.reshape(1, -1))
+
+
 def sample_params(
     pdl_class: PdlClass,
     mode: SampleMode,
@@ -244,32 +248,11 @@ def sample_params(
     *,
     seed=None,
     count: int | None = None,
-    n_gamma: int = GRID_N_GAMMA,
-    n_theta: int = GRID_N_THETA,
-    n_phi: int = GRID_N_PHI,
 ) -> Iterator[ChannelParams]:
-    """Yield channel parameters from the compound set.
-
-    WorstCaseEdge draws gamma from {-alpha, +alpha} with theta (and phi)
-    uniform; UniformInterior draws gamma uniformly on [-alpha, alpha]; Grid
-    walks the deterministic lattice (gamma outermost, phi innermost) and
-    ignores ``seed`` and ``count``.  Random modes require ``count`` and yield
-    the points of :func:`draw_params` one by one.
-    """
-    alpha = pdl_class.alpha
-    use_phi = model is Model.COMPLEX
-    if mode is SampleMode.GRID:
-        gammas = np.linspace(-alpha, alpha, n_gamma)
-        thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-        phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False) if use_phi else [None]
-        for g in gammas:
-            for t in thetas:
-                for p in phis:
-                    yield ChannelParams(float(g), float(t), p if p is None else float(p))
-        return
+    """Yield the ``count`` points of :func:`draw_params` one by one, as scalar ChannelParams."""
     if count is None:
         raise ValueError(f"{mode.value} sampling requires count")
     params = draw_params(pdl_class, mode, model, seed, count)
-    phis = params.phi.tolist() if use_phi else [None] * count
+    phis = [None] * count if params.phi is None else params.phi.tolist()
     for g, t, p in zip(params.gamma.tolist(), params.theta.tolist(), phis):
         yield ChannelParams(g, t, p)

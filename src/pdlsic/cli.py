@@ -24,6 +24,7 @@ from .channel import (
     SnrSpec,
     alpha_from_pdl_db,
     draw_params,
+    lattice,
     validate_alpha,
 )
 from .equalize import (
@@ -280,7 +281,7 @@ def _suite_worst_case(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
 
 
 def _suite_means(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
-    gammas = np.linspace(-alpha, alpha, args.n_gamma)
+    gammas = lattice(alpha, Model.REAL, args.n_gamma, 1, 1).gamma[:, 0]
     worst_product = 0.0
     worst_chain = 0.0
     worst_arith = 0.0

@@ -94,8 +94,6 @@ class StreamStats:
     k_uu: np.ndarray
     k_uz: np.ndarray
     k_zz: np.ndarray
-    lam: np.ndarray  # diagonal of E @ H
-    f: np.ndarray  # off-diagonal remainder of E @ H
     snr_per_stream: np.ndarray
 
 
@@ -107,7 +105,7 @@ def _statistics(h: np.ndarray, e: np.ndarray, snr_linear: float) -> StreamStats:
     k_uz = snr_linear * _diag(lam) @ _transpose(f)
     k_zz = snr_linear * (f @ _transpose(f)) + e @ _transpose(e)
     snrs = np.diagonal(k_uu, axis1=-2, axis2=-1) / np.diagonal(k_zz, axis1=-2, axis2=-1)
-    return StreamStats(k_uu, k_uz, k_zz, lam, f, snrs)
+    return StreamStats(k_uu, k_uz, k_zz, snrs)
 
 
 def stream_statistics(effective: EffectiveChannel, e: np.ndarray) -> StreamStats:

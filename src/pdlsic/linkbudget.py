@@ -7,8 +7,9 @@ f1 + f2 - f1*f2 (bounded by f1 + f2) and the overall gap to the compound
 capacity is the average of the per-code dB gaps.
 
 Tables are CSV with the exact header ``snr_db,fer,rate_bits_per_real_dim,label``
-(decimal point, no thousands separators), so published waterfall tables can
-be hand-transcribed.  Lookups interpolate log10(FER) linearly in SNR-dB and
+and numbers in plain ASCII decimal with an optional exponent, such as
+``1.2e-3`` (no digit separators), so published waterfall tables can be
+hand-transcribed.  Lookups interpolate log10(FER) linearly in SNR-dB and
 never extrapolate: a query outside the table span is a hard error naming the
 required SNR.  Queries within 1e-3 dB of a row snap to it, absorbing the
 rounding of hand-transcribed values.
@@ -16,6 +17,7 @@ rounding of hand-transcribed values.
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 from .capacity import inverse_c_compound
@@ -25,6 +27,9 @@ FER_COLUMNS = ("snr_db", "fer", "rate_bits_per_real_dim", "label")
 
 #: Queries this close to a tabulated SNR (in dB) count as that row.
 SNAP_TOL_DB = 1e-3
+
+#: A number cell; ``float()`` alone would also take ``1_0.0``, non-ASCII digits and ``nan``.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class FerTableError(ValueError):
@@ -101,17 +106,9 @@ class FerTable:
                 raise FerTableError(
                     f"{path}:{lineno}: expected {len(FER_COLUMNS)} columns, got {len(row)}"
                 )
-            try:
-                points.append(
-                    FerPoint(
-                        snr_db=float(row[0]),
-                        fer=float(row[1]),
-                        rate_bits_per_real_dim=float(row[2]),
-                        label=row[3].strip(),
-                    )
-                )
-            except ValueError as exc:
-                raise FerTableError(f"{path}:{lineno}: {exc}") from exc
+            if not all(_DECIMAL.fullmatch(cell.strip(" \t")) for cell in row[:3]):
+                raise FerTableError(f"{path}:{lineno}: {row[:3]} are not all plain decimal numbers")
+            points.append(FerPoint(*map(float, row[:3]), row[3].strip()))
         return cls(tuple(points), source=str(path))
 
     def _locate(self, snr_db: float) -> tuple[int, int, float]:

@@ -21,7 +21,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
-from itertools import cycle, groupby, islice
+from itertools import groupby
 
 import numpy as np
 from scipy.special import erfc
@@ -35,8 +35,7 @@ from .channel import (
     SnrSpec,
     channel_matrix,
     draw_params,
-    sample_params,
-    stack_params,
+    lattice,
     validate_alpha,
 )
 from .equalize import (
@@ -270,12 +269,15 @@ class SimReport:
 
 
 def _block_params(config: SimConfig, seed) -> ChannelParams:
-    """The block parameters, stacked; Grid runs cycle the lattice, drawing only what they use."""
-    pdl, n_blocks = PdlClass(config.alpha), config.n_blocks
+    """The block parameters, stacked; Grid block b gets lattice point b mod the lattice size."""
     if config.param_mode is SampleMode.GRID:
-        lattice = sample_params(pdl, SampleMode.GRID, config.model)
-        return stack_params(islice(cycle(lattice), n_blocks))
-    return draw_params(pdl, config.param_mode, config.model, seed, n_blocks)
+        grid = lattice(config.alpha, config.model)
+        sheet = grid.theta.size
+        g, j = np.divmod(np.arange(config.n_blocks) % (grid.gamma.size * sheet), sheet)
+        phi = None if grid.phi is None else grid.phi[0, j]
+        return ChannelParams(grid.gamma[g, 0], grid.theta[0, j], phi)
+    return draw_params(PdlClass(config.alpha), config.param_mode, config.model, seed,
+                       config.n_blocks)
 
 
 def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:

@@ -19,8 +19,7 @@ from pdlsic.channel import (
     PdlClass,
     SampleMode,
     SnrSpec,
-    sample_params,
-    stack_params,
+    draw_params,
 )
 from pdlsic.cli import main
 from pdlsic.equalize import (
@@ -45,10 +44,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def interior_draws(alpha: float, model: Model, seed: int, count: int) -> ChannelParams:
-    """The seeded UniformInterior draws of ``sample_params``, stacked into one ChannelParams."""
-    return stack_params(sample_params(
-        PdlClass(alpha), SampleMode.UNIFORM_INTERIOR, model, seed=seed, count=count
-    ))
+    """The seeded UniformInterior draws as one array-valued ChannelParams."""
+    return draw_params(PdlClass(alpha), SampleMode.UNIFORM_INTERIOR, model, seed, count)
 
 
 def report(criterion: int, name: str, ok: bool, detail: str):

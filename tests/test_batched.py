@@ -129,6 +129,7 @@ def test_gram_from_single_use_blocks_is_hth(raw):
     """The star oracle's entry-major Gram, sum_j G_j^T (M^T M) G_j, against H^T H of the effective channel."""
     params = ChannelParams(*raw)
     h = effective(params).matrix
-    gram = np.moveaxis(_gram(params, _gram_terms(PRECODERS[params.model])), (0, 1), (-2, -1))
+    terms = _gram_terms(PRECODERS[params.model])
+    gram = np.moveaxis(_gram(params.gamma, params.theta, params.phi, terms), (0, 1), (-2, -1))
     assert gram.shape == h.shape
     assert np.abs(gram - np.swapaxes(h, -1, -2) @ h).max() < 1e-12

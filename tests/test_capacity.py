@@ -170,46 +170,6 @@ class TestPenalties:
             capacity.penalties_db(1.0)
 
 
-class TestMiTerms:
-    def test_gamma_zero_all_equal(self):
-        t = capacity.mi_terms(0.0, 1.3, 20.0)
-        c = capacity.c_awgn(20.0)
-        assert t.i_x1_y == pytest.approx(c, rel=1e-14)
-        assert t.i_x2_y_given_x1 == pytest.approx(c, rel=1e-14)
-        assert t.i_x2_y == pytest.approx(c, rel=1e-14)
-
-    def test_chain_rule_identity_everywhere(self):
-        for g in np.linspace(-0.95, 0.95, 21):
-            for th in np.linspace(0, 2 * math.pi, 17):
-                for s in (1.0, 20.0, 100.0):
-                    t = capacity.mi_terms(g, th, s)
-                    total = capacity.c_awgn((1 + g) * s) + capacity.c_awgn((1 - g) * s)
-                    assert t.sum_check == pytest.approx(total, abs=1e-12)
-
-    def test_quarter_turn_conditional(self):
-        t = capacity.mi_terms(0.5, math.pi / 4, 10.0)
-        assert t.i_x2_y_given_x1 == pytest.approx(capacity.c_awgn(10.0), abs=1e-12)
-
-    def test_sum_minimum_at_edge(self):
-        alpha, s = 0.599, 20.0
-        m = min(
-            capacity.mi_terms(g, th, s).sum_check
-            for g in np.linspace(-alpha, alpha, 41)
-            for th in np.linspace(0, 2 * math.pi, 8)
-        )
-        assert m == pytest.approx(2.0 * float(capacity.c_compound(alpha, s)), abs=1e-12)
-
-    def test_conditional_minimum_at_cos_sign_boundary(self):
-        s = 20.0
-        for g in (0.3, -0.3, 0.7, -0.7):
-            thetas = np.linspace(0, 2 * math.pi, 257)
-            vals = [capacity.mi_terms(g, th, s).i_x2_y_given_x1 for th in thetas]
-            # cos(2 theta) = sign(gamma) minimizes (1 - gamma cos 2theta)
-            assert min(vals) == pytest.approx(
-                capacity.c_awgn((1 - abs(g)) * s), abs=1e-9
-            )
-
-
 class TestWorstCaseSearch:
     def test_recovers_symmetric_split_and_extremal_gamma(self):
         search = capacity.worst_case_search(0.599, 20.0)

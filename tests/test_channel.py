@@ -17,9 +17,9 @@ from pdlsic.channel import (
     alpha_from_pdl_db,
     channel_matrix,
     draw_params,
+    lattice,
     pdl_db_from_alpha,
     sample_params,
-    stack_params,
 )
 
 
@@ -63,7 +63,6 @@ class TestTypes:
     def test_pdl_class_validates(self):
         with pytest.raises(ValueError):
             PdlClass(1.0)
-        assert PdlClass.from_db(6.0).alpha == pytest.approx(0.5985, abs=1e-4)
 
     def test_snr_spec_roundtrip(self):
         spec = SnrSpec.from_db(13.0103)
@@ -99,21 +98,6 @@ class TestTypes:
     def test_params_gamma_domain(self):
         with pytest.raises(ValueError):
             ChannelParams(1.0, 0.0)
-
-    @pytest.mark.parametrize("model", list(Model))
-    def test_stack_params_keeps_each_point(self, model):
-        pdl = PdlClass(0.5)
-        points = list(sample_params(pdl, SampleMode.UNIFORM_INTERIOR, model, seed=4, count=7))
-        stack = stack_params(iter(points))
-        assert stack.model is model
-        assert np.array_equal(stack.gamma, [p.gamma for p in points])
-        assert np.array_equal(stack.theta, [p.theta for p in points])
-        if model is Model.COMPLEX:
-            assert np.array_equal(stack.phi, [p.phi for p in points])
-
-    def test_stack_params_needs_a_point(self):
-        with pytest.raises(ValueError):
-            stack_params([])
 
 
 class TestMatrices:
@@ -188,11 +172,10 @@ class TestMatrices:
 class TestSampling:
     def test_alpha_zero_all_gamma_zero(self):
         pdl = PdlClass(0.0)
-        for mode in SampleMode:
-            samples = list(
-                sample_params(pdl, mode, Model.REAL, seed=1, count=50, n_gamma=5)
-            )
-            assert all(p.gamma == 0.0 for p in samples)
+        for mode in (SampleMode.WORST_CASE_EDGE, SampleMode.UNIFORM_INTERIOR):
+            assert all(p.gamma == 0.0 for p in sample_params(pdl, mode, Model.REAL, seed=1, count=50))
+        for model in Model:
+            assert np.all(lattice(0.0, model, 5, 4, 3).gamma == 0.0)
 
     def test_edge_mode_is_extremal(self):
         pdl = PdlClass(0.599)
@@ -209,19 +192,6 @@ class TestSampling:
             assert abs(p.gamma) <= 0.4
             assert p.phi is None
 
-    def test_grid_gamma_lattice(self):
-        pdl = PdlClass(0.5)
-        gammas = sorted(
-            {p.gamma for p in sample_params(pdl, SampleMode.GRID, Model.REAL, n_gamma=5, n_theta=4)}
-        )
-        assert np.allclose(gammas, [-0.5, -0.25, 0.0, 0.25, 0.5], atol=1e-15)
-
-    def test_grid_excludes_right_angle_endpoint(self):
-        pdl = PdlClass(0.5)
-        thetas = {p.theta for p in sample_params(pdl, SampleMode.GRID, Model.REAL, n_gamma=3, n_theta=8)}
-        assert max(thetas) < 2.0 * math.pi
-        assert len(thetas) == 8
-
     def test_deterministic_for_seed(self):
         pdl = PdlClass(0.3)
         a = list(sample_params(pdl, SampleMode.UNIFORM_INTERIOR, Model.COMPLEX, seed=9, count=20))
@@ -231,6 +201,48 @@ class TestSampling:
     def test_random_modes_require_count(self):
         with pytest.raises(ValueError):
             list(sample_params(PdlClass(0.3), SampleMode.WORST_CASE_EDGE, Model.REAL))
+
+
+def reference_lattice(alpha, model, n_gamma, n_theta, n_phi):
+    """The lattice points in order, gamma outermost and phi innermost, from a triple loop."""
+    points = []
+    for i in range(n_gamma):
+        g = alpha * (2.0 * i / (n_gamma - 1) - 1.0) if n_gamma > 1 else -alpha
+        for j in range(n_theta):
+            for k in range(n_phi if model is Model.COMPLEX else 1):
+                p = TWO_PI * k / n_phi if model is Model.COMPLEX else None
+                points.append((g, TWO_PI * j / n_theta, p))
+    return points
+
+
+class TestLattice:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_max=True),
+        model=st.sampled_from(list(Model)),
+        n_gamma=st.integers(1, 9),
+        n_theta=st.integers(1, 9),
+        n_phi=st.integers(1, 9),
+    )
+    def test_matches_the_triple_loop(self, alpha, model, n_gamma, n_theta, n_phi):
+        grid = lattice(alpha, model, n_gamma, n_theta, n_phi)
+        expect = reference_lattice(alpha, model, n_gamma, n_theta, n_phi)
+        sheet = len(expect) // n_gamma
+        assert grid.model is model
+        assert grid.gamma.shape == (n_gamma, 1) and grid.theta.shape == (1, sheet)
+        fields = [grid.gamma, grid.theta] + ([] if grid.phi is None else [grid.phi])
+        got = np.stack([f.ravel() for f in np.broadcast_arrays(*fields)], axis=1)
+        want = np.array([point[:len(fields)] for point in expect])
+        assert np.abs(got - want).max() < 1e-14  # the same points in the same order
+        assert grid.gamma[0, 0] == -alpha and grid.gamma[-1, 0] == (alpha if n_gamma > 1 else -alpha)
+        assert grid.theta[0, 0] == 0.0 and grid.theta.max() < TWO_PI
+        if model is Model.COMPLEX:
+            assert grid.phi.shape == (1, sheet) and grid.phi.max() < TWO_PI
+        # the broadcast fields give the matrices of the whole lattice, point k at [k // S, k % S]
+        h = channel_matrix(grid)
+        assert h.shape == (n_gamma, sheet, model.dim, model.dim)
+        per_point = np.array([channel_matrix(ChannelParams(*point)) for point in expect])
+        assert np.abs(h.reshape(per_point.shape) - per_point).max() < 1e-14
 
 
 def scalar_draws(alpha, mode, model, seed, count):
@@ -244,8 +256,9 @@ def scalar_draws(alpha, mode, model, seed, count):
             g = rng.uniform(-alpha, alpha)
         t = rng.uniform(0.0, TWO_PI)
         p = rng.uniform(0.0, TWO_PI) if model is Model.COMPLEX else None
-        points.append(ChannelParams(g, t, p))
-    return stack_params(points)
+        points.append((g, t, p))
+    gamma, theta, phi = (np.array(x) for x in zip(*points))
+    return ChannelParams(gamma, theta, phi if model is Model.COMPLEX else None)
 
 
 class TestDrawParams:

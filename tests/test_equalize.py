@@ -127,8 +127,7 @@ class TestStreamStatistics:
             eff = effective_channel(random_params(rng, model), universal_precoder(model), SNR)
             stats = stream_statistics(eff, zf_equalizer(eff))
             n = eff.n_streams
-            assert np.abs(stats.f).max() < 1e-10
-            assert np.abs(stats.k_uz).max() < 1e-10
+            assert np.abs(stats.k_uz).max() < 1e-10  # SNR * F^T: zero iff E @ H is diagonal
             assert np.abs(stats.k_uu - SNR.snr_linear * np.eye(n)).max() < 1e-9
 
     def test_diag_cross_covariance_vanishes(self):

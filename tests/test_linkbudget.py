@@ -86,6 +86,25 @@ class TestFerTable:
             with pytest.raises(FerTableError):
                 FerTable.from_csv(write_table(tmp_path / "e.csv", ["9,1e-2,1.5,x", row]))
 
+    @pytest.mark.parametrize("cell", ["1_0.0", "\u0661\u0660", "\uff11\uff10.5", "0x10", "1e", "1.2.3"])
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    def test_rejects_numbers_that_are_not_plain_decimal(self, tmp_path, capsys, cell, col):
+        # float() would read 1_0.0 and the Arabic-Indic digits as 10, the fullwidth ones as 10.5
+        cells = ["10", "1e-2", "1.5", "x"]
+        cells[col] = cell
+        path = write_table(tmp_path / "t.csv", [",".join(cells)])
+        with pytest.raises(FerTableError, match="decimal"):
+            FerTable.from_csv(path)
+        code = main(["fer", "--alpha", "0.599", "--snr-db", "13.01", "--table1", str(path),
+                     "--table2", str(DATA / "fer_code2_16ask_pas.csv")])
+        assert code == 2 and "decimal" in capsys.readouterr().err
+
+    def test_reads_plain_decimal_forms(self, tmp_path):
+        rows = ["+10,1.2e-3,1.5,a", "11.,1E+0,1.5,a", " 12.5 ,\t.5e-1,2,a", "-13,0.0,1.5e0,a"]
+        table = FerTable.from_csv(write_table(tmp_path / "t.csv", rows))
+        assert [(p.snr_db, p.fer, p.rate_bits_per_real_dim) for p in table.points] == [
+            (-13.0, 0.0, 1.5), (10.0, 1.2e-3, 1.5), (11.0, 1.0, 1.5), (12.5, 0.05, 2.0)]
+
     def test_rejects_duplicate_snr(self):
         with pytest.raises(FerTableError):
             FerTable((FerPoint(10.0, 1e-2, 1.5, "a"), FerPoint(10.0, 1e-3, 1.5, "a")))

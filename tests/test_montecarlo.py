@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pdlsic import capacity, montecarlo
-from pdlsic.channel import Model, PdlClass, SampleMode, SnrSpec, sample_params
+from pdlsic.channel import Model, SampleMode, SnrSpec, lattice
 from pdlsic.equalize import StreamScheme, closed_form_stream_snr
 from pdlsic.montecarlo import (
     Scheme,
@@ -104,15 +104,23 @@ class TestConfig:
 
 
 class TestGridBlocks:
-    def test_block_b_gets_lattice_point_b_mod_size(self):
-        lattice = list(sample_params(PdlClass(0.599), SampleMode.GRID, Model.REAL))
-        n_blocks = 2 * len(lattice) + 5  # wraps around the lattice twice
-        cfg = config(param_mode=SampleMode.GRID, trials=n_blocks, block_size=1)
+    @pytest.mark.parametrize("model", list(Model))
+    def test_block_b_gets_lattice_point_b_mod_size(self, model):
+        grid = lattice(0.599, model)  # the default sizes, 41 x 64 (x 64 for phi)
+        points = np.stack([f.ravel() for f in np.broadcast_arrays(
+            grid.gamma, grid.theta, *([] if grid.phi is None else [grid.phi]))])
+        size = points.shape[1]
+        n_blocks = 2 * size + 5  # wraps around the lattice twice
+        cfg = config(model=model, param_mode=SampleMode.GRID, trials=n_blocks, block_size=1)
         params = _block_params(cfg, seed=None)
-        points = [lattice[b % len(lattice)] for b in range(n_blocks)]
-        assert params.phi is None
-        assert np.array_equal(params.gamma, [p.gamma for p in points])
-        assert np.array_equal(params.theta, [p.theta for p in points])
+        expect = points[:, np.arange(n_blocks) % size]
+        assert params.gamma.shape == (n_blocks,)
+        assert np.array_equal(params.gamma, expect[0])
+        assert np.array_equal(params.theta, expect[1])
+        if model is Model.REAL:
+            assert params.phi is None
+        else:
+            assert np.array_equal(params.phi, expect[2])
 
 
 class TestReproducibility:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdlsic.channel import ChannelParams, Model, PdlClass, SampleMode, SnrSpec, sample_params
+from pdlsic.channel import TWO_PI, ChannelParams, Model, SnrSpec, lattice
+from pdlsic.equalize import CONDITION_LIMIT
 from pdlsic.precode import (
     Precoder,
     effective_channel,
@@ -14,6 +17,7 @@ from pdlsic.precode import (
     permute_columns,
     precoder_complex,
     precoder_real,
+    universal_precoder,
     verify_orthogonal_design,
 )
 
@@ -122,13 +126,27 @@ class TestOrthogonalDesign:
             assert max(rep.max_dev_h1, rep.max_dev_h2) < 1e-10
 
     def test_default_grid_certifies(self):
-        pdl = PdlClass(0.95)
         for model, pre in ((Model.REAL, precoder_real()), (Model.COMPLEX, precoder_complex())):
-            n_phi = 8 if model is Model.COMPLEX else 1
-            for params in sample_params(
-                pdl, SampleMode.GRID, model, n_gamma=11, n_theta=16, n_phi=n_phi
-            ):
-                assert verify_orthogonal_design(effective_channel(params, pre, SNR)).passed
+            grid = lattice(0.95, model, 11, 16, 8)  # the whole lattice as one broadcast stack
+            rep = verify_orthogonal_design(effective_channel(grid, pre, SNR))
+            assert rep.coupling.shape[:2] == (11, 16 * (8 if model is Model.COMPLEX else 1))
+            assert rep.passed
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from(list(Model)),
+        sign=st.sampled_from([-1.0, 1.0]),
+        magnitude=st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+        theta=st.floats(0.0, TWO_PI, exclude_max=True),
+        phi=st.floats(0.0, TWO_PI, exclude_max=True),
+    )
+    def test_certifies_as_gamma_nears_one(self, model, sign, magnitude, theta, phi):
+        # the channel's condition number grows as 1/sqrt(1 - |gamma|), to about 1.4e6 here,
+        # still far inside the equalizers' guard; the design must hold to 1e-10 all the way
+        params = ChannelParams(sign * magnitude, theta, phi if model is Model.COMPLEX else None)
+        eff = effective_channel(params, universal_precoder(model), SNR)
+        assert np.linalg.cond(eff.matrix) < CONDITION_LIMIT
+        assert verify_orthogonal_design(eff).passed
 
     def test_identity_precoder_fails(self):
         eff = effective_channel(
