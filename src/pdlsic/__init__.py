@@ -31,7 +31,6 @@ from .capacity import (
 from .channel import (
     ChannelParams,
     Model,
-    PdlClass,
     SampleMode,
     SnrSpec,
     alpha_from_pdl_db,
@@ -59,14 +58,11 @@ from .equalize import (
 )
 from .linkbudget import (
     CodePoint,
-    FerComposition,
     FerPoint,
     FerTable,
     FerTableError,
     OperatingPoint,
     SnrOutOfRangeError,
-    compose_fer,
-    compose_gap,
     evaluate_operating_point,
 )
 from .montecarlo import (

@@ -226,9 +226,6 @@ class GridPoint:
     theta: float
     phi: float | None
 
-    def as_dict(self) -> dict:
-        return {"gamma": self.gamma, "theta": self.theta, "phi": self.phi}
-
 
 @dataclass(frozen=True)
 class StarPropertyReport:
@@ -238,13 +235,12 @@ class StarPropertyReport:
     rhs_bits: float  # sum over streams of the per-stream minima
     gap_bits: float
     min_stream_snrs: np.ndarray
-    tol: float
     lhs_point: GridPoint  # first lattice point (in grid order) of the rate-sum minimum
     min_stream_points: tuple[GridPoint, ...]  # first lattice point of each stream's minimum
 
     @property
     def passed(self) -> bool:
-        return self.gap_bits < self.tol
+        return self.gap_bits < STAR_TOL_BITS
 
 
 def _gram_terms(precoder: Precoder) -> list:
@@ -285,7 +281,6 @@ def verify_star_property(
     n_gamma: int = GRID_N_GAMMA,
     n_theta: int = GRID_N_THETA,
     n_phi: int = GRID_N_PHI,
-    tol: float = STAR_TOL_BITS,
 ) -> StarPropertyReport:
     """Grid oracle for the precoder property that SIC order does not lose rate.
 
@@ -294,9 +289,9 @@ def verify_star_property(
     against the sum of the per-stream minima.  The left side equals twice
     the compound capacity for any orthogonal precoder (chain rule); the
     right side reaches it only for a correct precoder and stream order.
-    gap >= 0 always, and a pass means the two sides agree to ``tol`` bits
-    per real dimension.  The report names the lattice point of the left
-    side's minimum and of each stream's minimum.
+    gap >= 0 always, and a pass means the two sides agree to
+    ``STAR_TOL_BITS`` bits per real dimension.  The report names the lattice
+    point of the left side's minimum and of each stream's minimum.
     """
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr before any grid work
     grid = lattice(alpha, precoder.model, n_gamma, n_theta, n_phi)
@@ -329,7 +324,6 @@ def verify_star_property(
         rhs_bits=rhs / n,
         gap_bits=(lhs - rhs) / n,
         min_stream_snrs=min_snrs,
-        tol=tol,
         lhs_point=lhs_at,
         min_stream_points=tuple(min_at),
     )

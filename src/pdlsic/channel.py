@@ -86,20 +86,6 @@ def alpha_from_pdl_db(pdl_db: float) -> float:
 
 
 @dataclass(frozen=True)
-class PdlClass:
-    """The compound class: all channels with |gamma| <= alpha."""
-
-    alpha: float
-
-    def __post_init__(self):
-        validate_alpha(self.alpha)
-
-    @property
-    def pdl_db(self) -> float:
-        return pdl_db_from_alpha(self.alpha)
-
-
-@dataclass(frozen=True)
 class SnrSpec:
     """Per-real-dimension signal-to-noise ratio (noise variance 1)."""
 
@@ -186,10 +172,8 @@ def channel_matrix(params: ChannelParams) -> np.ndarray:
     return np.ascontiguousarray(entries)
 
 
-def draw_params(
-    pdl_class: PdlClass, mode: SampleMode, model: Model, seed, count: int
-) -> ChannelParams:
-    """``count`` random members of the compound set as one array-valued ChannelParams.
+def draw_params(alpha: float, mode: SampleMode, model: Model, seed, count: int) -> ChannelParams:
+    """``count`` random points with |gamma| <= alpha, as one array-valued ChannelParams.
 
     The numbers are those of drawing point by point from ``default_rng(seed)``:
     gamma by ``integers(0, 2)`` (WorstCaseEdge, sign of alpha) or
@@ -197,7 +181,7 @@ def draw_params(
     ``uniform(0, 2*pi)``.  ``seed`` is an int or a SeedSequence; the
     generator stays private, so drawing past the last point is harmless.
     """
-    alpha = pdl_class.alpha
+    validate_alpha(alpha)
     n_angles = 2 if model is Model.COMPLEX else 1
     rng = np.random.default_rng(seed)
     if mode is SampleMode.UNIFORM_INTERIOR:
@@ -242,7 +226,7 @@ def lattice(alpha: float, model: Model, n_gamma=41, n_theta=64, n_phi=64) -> Cha
 
 
 def sample_params(
-    pdl_class: PdlClass,
+    alpha: float,
     mode: SampleMode,
     model: Model = Model.REAL,
     *,
@@ -252,7 +236,7 @@ def sample_params(
     """Yield the ``count`` points of :func:`draw_params` one by one, as scalar ChannelParams."""
     if count is None:
         raise ValueError(f"{mode.value} sampling requires count")
-    params = draw_params(pdl_class, mode, model, seed, count)
+    params = draw_params(alpha, mode, model, seed, count)
     phis = [None] * count if params.phi is None else params.phi.tolist()
     for g, t, p in zip(params.gamma.tolist(), params.theta.tolist(), phis):
         yield ChannelParams(g, t, p)

@@ -1,6 +1,11 @@
 """Command-line surface: capacity curves, verification suites, simulation, link budget.
 
 Subcommands: ``curves``, ``penalties``, ``verify``, ``simulate``, ``fer``.
+Each ``verify`` suite is a generator of verdicts ``(model or None, passed,
+detail, summary)``, one per model checked, or one with None for a suite that
+has no model, and prints nothing; :func:`cmd_verify` prints each as
+``PASS|FAIL <suite>[<model>] <summary>``, combines the exit code and writes
+the ``--out`` detail: flat for a model-free suite, keyed by model otherwise.
 All outputs are deterministic for fixed flags and seed.  The CSV and JSON of
 ``curves``, ``penalties``, ``verify --out`` and ``fer`` carry numbers at 12
 significant digits; ``simulate`` writes full float precision, so the config
@@ -12,19 +17,19 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import capacity, linkbudget, montecarlo
 from .channel import (
-    ChannelParams,
     Model,
-    PdlClass,
     SampleMode,
     SnrSpec,
     alpha_from_pdl_db,
     draw_params,
     lattice,
+    pdl_db_from_alpha,
     validate_alpha,
 )
 from .equalize import (
@@ -67,13 +72,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(format(obj, ".12g"))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -113,6 +114,14 @@ def _count(minimum: int):
     return count
 
 
+def _order(text: str) -> tuple[int, ...]:
+    """argparse type for ``--permute``: a non-empty comma-separated list of integers."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers: {text!r}") from None
+
+
 def cmd_curves(args) -> int:
     step = args.snr_db_step
     # a finite, non-negative step count also rules out NaN or infinite bounds
@@ -132,7 +141,7 @@ def _curve_chunks(alpha: float, snr_db_min: float, snr_db_max: float, step: floa
 
     Each chunk computes its own slice of the SNR grid (the columns are
     elementwise in it) and formats all its values in one ``%`` operation;
-    ``"%.12g" % x`` prints exactly what :func:`_fmt` does.
+    ``"%.12g" % x`` prints exactly what ``format(x, ".12g")`` does.
     """
     yield ",".join(CURVE_COLUMNS) + "\n"
     for start in range(0, rows, CURVE_CHUNK_ROWS):
@@ -155,7 +164,7 @@ def cmd_penalties(args) -> int:
     _emit_json(
         {
             "alpha": args.alpha,
-            "pdl_db": PdlClass(args.alpha).pdl_db,
+            "pdl_db": pdl_db_from_alpha(args.alpha),
             "penalties_db": capacity.penalties_db(args.alpha).as_dict(),
         },
         args.out,
@@ -169,17 +178,16 @@ def _models_from_arg(model_arg: str) -> list[Model]:
     return [Model.parse(model_arg)]
 
 
-def _sampled_params(args, alpha: float, model: Model) -> ChannelParams:
-    """The suite's random draws for one model, as one array-valued ChannelParams."""
-    return draw_params(PdlClass(alpha), SampleMode.UNIFORM_INTERIOR, model, args.seed, args.draws)
-
-
-def _suite_orthogonality(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
-    detail = {}
-    ok = True
+def _sampled_channels(args, snr: SnrSpec):
+    """Each model with its random draws and their precoded effective channels, as stacks."""
     for model in _models_from_arg(args.model):
-        params = _sampled_params(args, alpha, model)
-        rep = verify_orthogonal_design(effective_channel(params, universal_precoder(model), snr))
+        params = draw_params(args.alpha, SampleMode.UNIFORM_INTERIOR, model, args.seed, args.draws)
+        yield model, params, effective_channel(params, universal_precoder(model), snr)
+
+
+def _suite_orthogonality(args, snr: SnrSpec):
+    for model, params, eff in _sampled_channels(args, snr):
+        rep = verify_orthogonal_design(eff)
         s = rep.coupling
         gamma_sq = (params.gamma**2)[:, None, None] * np.eye(s.shape[-1])
         worst = {
@@ -189,19 +197,12 @@ def _suite_orthogonality(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
             "coupling_eigs": float(np.abs(gram(s) - gamma_sq).max()),
         }
         passed = max(worst.values()) < 1e-10
-        ok &= passed
-        detail[model.value] = {"max_defects": worst, "passed": passed}
-        print(f"{'PASS' if passed else 'FAIL'} orthogonality[{model.value}] "
-              f"max_defect={max(worst.values()):.3e} (tol 1e-10)")
-    return ok, detail
+        yield (model, passed, {"max_defects": worst, "passed": passed},
+               f"max_defect={max(worst.values()):.3e} (tol 1e-10)")
 
 
-def _suite_snr_closed_forms(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
-    detail = {}
-    ok = True
-    for model in _models_from_arg(args.model):
-        params = _sampled_params(args, alpha, model)
-        eff = effective_channel(params, universal_precoder(model), snr)
+def _suite_snr_closed_forms(args, snr: SnrSpec):
+    for model, params, eff in _sampled_channels(args, snr):
         numeric = {
             StreamScheme.ZF: stream_statistics(eff, zf_equalizer(eff)).snr_per_stream,
             StreamScheme.LMMSE: stream_statistics(eff, lmmse_equalizer(eff)).snr_per_stream,
@@ -213,11 +214,8 @@ def _suite_snr_closed_forms(args, alpha: float, snr: SnrSpec) -> tuple[bool, dic
             rel = np.abs(snrs - expect[:, None]).max(axis=1) / expect
             worst[scheme.value] = float(rel.max())
         passed = max(worst.values()) < 1e-9
-        ok &= passed
-        detail[model.value] = {"max_rel_dev": worst, "passed": passed}
-        print(f"{'PASS' if passed else 'FAIL'} snr-closed-forms[{model.value}] "
-              f"max_rel_dev={max(worst.values()):.3e} (tol 1e-09)")
-    return ok, detail
+        yield (model, passed, {"max_rel_dev": worst, "passed": passed},
+               f"max_rel_dev={max(worst.values()):.3e} (tol 1e-09)")
 
 
 def _point_text(point: capacity.GridPoint) -> str:
@@ -225,43 +223,40 @@ def _point_text(point: capacity.GridPoint) -> str:
     return text if point.phi is None else f"{text} phi={point.phi:.6g}"
 
 
-def _suite_star_property(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
-    detail = {}
-    ok = True
-    for model in _models_from_arg(args.model):
-        pre = identity_precoder(model) if args.precoder == "identity" else universal_precoder(model)
-        if args.permute:
-            order = [int(tok) for tok in args.permute.split(",")]
-            pre = permute_columns(pre, order)
+def _suite_star_property(args, snr: SnrSpec):
+    make = identity_precoder if args.precoder == "identity" else universal_precoder
+    precoders = [make(model) for model in _models_from_arg(args.model)]
+    if args.permute:
+        # every model's order is checked before the first oracle run, so a misfit exits 2 unprinted
+        precoders = [permute_columns(pre, args.permute) for pre in precoders]
+    for pre in precoders:
         rep = capacity.verify_star_property(
             pre,
-            alpha,
+            args.alpha,
             snr.snr_linear,
             n_gamma=args.n_gamma,
             n_theta=args.n_theta,
             n_phi=args.n_phi,
         )
-        ok &= rep.passed
-        detail[model.value] = {
+        detail = {
             "lhs_bits": rep.lhs_bits,
             "rhs_bits": rep.rhs_bits,
             "gap_bits": rep.gap_bits,
             "passed": rep.passed,
-            "lhs_point": rep.lhs_point.as_dict(),
+            "lhs_point": asdict(rep.lhs_point),
             "min_stream_points": [
-                {"snr": float(v), **p.as_dict()}
+                {"snr": float(v), **asdict(p)}
                 for v, p in zip(rep.min_stream_snrs, rep.min_stream_points)
             ],
         }
         where = "" if rep.passed else f"; rate-sum minimum at {_point_text(rep.lhs_point)}"
-        print(f"{'PASS' if rep.passed else 'FAIL'} star-property[{model.value}] "
-              f"gap={rep.gap_bits:.3e} bits/real-dim (tol {rep.tol:g}){where}")
-    return ok, detail
+        yield (pre.model, rep.passed, detail, f"gap={rep.gap_bits:.3e} bits/real-dim "
+               f"(tol {capacity.STAR_TOL_BITS:g}){where}")
 
 
-def _suite_worst_case(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
+def _suite_worst_case(args, snr: SnrSpec):
     search = capacity.worst_case_search(
-        alpha, snr.snr_linear, n_beta=args.n_beta, n_gamma=args.n_gamma
+        args.alpha, snr.snr_linear, n_beta=args.n_beta, n_gamma=args.n_gamma
     )
     beta_step = 1.0 / (args.n_beta - 1)
     beta_ok = abs(search.beta_star - 0.5) <= beta_step + 1e-12
@@ -275,13 +270,12 @@ def _suite_worst_case(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
         "all_extremal": search.all_extremal,
         "passed": passed,
     }
-    print(f"{'PASS' if passed else 'FAIL'} worst-case beta*={search.beta_star:.6g} "
-          f"extremal={search.all_extremal} defect={search.defect_bits:.3e} bits")
-    return passed, detail
+    yield (None, passed, detail, f"beta*={search.beta_star:.6g} "
+           f"extremal={search.all_extremal} defect={search.defect_bits:.3e} bits")
 
 
-def _suite_means(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
-    gammas = lattice(alpha, Model.REAL, args.n_gamma, 1, 1).gamma[:, 0]
+def _suite_means(args, snr: SnrSpec):
+    gammas = lattice(args.alpha, Model.REAL, args.n_gamma, 1, 1).gamma[:, 0]
     worst_product = 0.0
     worst_chain = 0.0
     worst_arith = 0.0
@@ -297,9 +291,8 @@ def _suite_means(args, alpha: float, snr: SnrSpec) -> tuple[bool, dict]:
         "max_arithmetic_dev_from_one": worst_arith,
         "passed": passed,
     }
-    print(f"{'PASS' if passed else 'FAIL'} means product_defect={worst_product:.3e} "
-          f"chain_defect={worst_chain:.3e} bits")
-    return passed, detail
+    yield (None, passed, detail,
+           f"product_defect={worst_product:.3e} chain_defect={worst_chain:.3e} bits")
 
 
 _SUITES = {
@@ -312,8 +305,17 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    """Print each verdict of the suite as it comes; then write ``--out`` and give the exit code."""
     snr = SnrSpec.from_db(args.snr_db)
-    passed, detail = _SUITES[args.suite](args, args.alpha, snr)
+    passed, detail = True, {}
+    for model, ok, part, summary in _SUITES[args.suite](args, snr):
+        name = args.suite if model is None else f"{args.suite}[{model.value}]"
+        print(f"{'PASS' if ok else 'FAIL'} {name} {summary}")
+        passed &= ok
+        if model is None:
+            detail = part
+        else:
+            detail[model.value] = part
     if args.out:
         _emit_json(
             {"suite": args.suite, "alpha": args.alpha, "snr_db": snr.snr_db,
@@ -345,7 +347,7 @@ def cmd_fer(args) -> int:
     point = linkbudget.evaluate_operating_point(
         args.alpha, SnrSpec.from_db(args.snr_db), table1, table2
     )
-    _emit_json(point.as_dict(), args.out)
+    _emit_json(asdict(point), args.out)
     return EXIT_OK
 
 
@@ -378,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("real", "complex", "both"), default="both")
     p.add_argument("--precoder", choices=("universal", "identity"), default="universal",
                    help="star-property only: which precoder to test.")
-    p.add_argument("--permute", default=None,
+    p.add_argument("--permute", type=_order, default=None,
                    help="star-property only: comma-separated column order for a "
                         "negative test, e.g. 0,2,1,3.")
     p.add_argument("--n-beta", type=_count(2), default=capacity.GRID_N_BETA)

@@ -60,7 +60,6 @@ class FerTable:
     """Sorted FER-vs-SNR records for one coded-modulation scheme."""
 
     points: tuple[FerPoint, ...]
-    source: str = ""
 
     def __post_init__(self):
         if not self.points:
@@ -109,7 +108,7 @@ class FerTable:
             if not all(_DECIMAL.fullmatch(cell.strip(" \t")) for cell in row[:3]):
                 raise FerTableError(f"{path}:{lineno}: {row[:3]} are not all plain decimal numbers")
             points.append(FerPoint(*map(float, row[:3]), row[3].strip()))
-        return cls(tuple(points), source=str(path))
+        return cls(tuple(points))
 
     def _locate(self, snr_db: float) -> tuple[int, int, float]:
         """Indices of the bracketing rows and the interpolation weight."""
@@ -140,27 +139,6 @@ class FerTable:
         return self.points[hi if w > 0.5 else lo].rate_bits_per_real_dim
 
 
-def compose_gap(g1_db: float, g2_db: float) -> float:
-    """Overall dB gap to the compound capacity: the mean of the per-code gaps."""
-    if g1_db < 0.0 or g2_db < 0.0:
-        raise ValueError("gaps must be non-negative")
-    return (g1_db + g2_db) / 2.0
-
-
-@dataclass(frozen=True)
-class FerComposition:
-    exact: float
-    bound: float
-
-
-def compose_fer(fer1_at_derated_snr: float, fer2_at_snr: float) -> FerComposition:
-    """End-to-end FER: exact inclusion-exclusion and the additive bound."""
-    f1, f2 = fer1_at_derated_snr, fer2_at_snr
-    if not (0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0):
-        raise ValueError("FER inputs must lie in [0, 1]")
-    return FerComposition(exact=f1 + f2 - f1 * f2, bound=min(f1 + f2, 1.0))
-
-
 @dataclass(frozen=True)
 class CodePoint:
     """One constituent code at its operating SNR."""
@@ -173,8 +151,11 @@ class CodePoint:
 
 @dataclass(frozen=True)
 class OperatingPoint:
+    """The composed end-to-end point; ``pdlsic fer`` prints its fields, in order, as JSON."""
+
     alpha: float
-    snr: SnrSpec
+    snr_db: float
+    snr_linear: float
     code1: CodePoint
     code2: CodePoint
     total_rate_bits_per_real_dim: float
@@ -182,28 +163,6 @@ class OperatingPoint:
     gap_to_capacity_db: float
     fer_exact: float
     fer_bound: float
-
-    def as_dict(self) -> dict:
-        def code(c: CodePoint) -> dict:
-            return {
-                "snr_db": c.snr_db,
-                "fer": c.fer,
-                "rate_bits_per_real_dim": c.rate_bits_per_real_dim,
-                "gap_db": c.gap_db,
-            }
-
-        return {
-            "alpha": self.alpha,
-            "snr_db": self.snr.snr_db,
-            "snr_linear": self.snr.snr_linear,
-            "code1": code(self.code1),
-            "code2": code(self.code2),
-            "total_rate_bits_per_real_dim": self.total_rate_bits_per_real_dim,
-            "composed_gap_db": self.composed_gap_db,
-            "gap_to_capacity_db": self.gap_to_capacity_db,
-            "fer_exact": self.fer_exact,
-            "fer_bound": self.fer_bound,
-        }
 
 
 def _implied_gap_db(snr_db: float, rate: float) -> float:
@@ -221,7 +180,8 @@ def evaluate_operating_point(
     channel SNR.  Per-code gaps invert the scalar AWGN capacity at each
     code's tabulated rate; the composed gap averages them in dB, and the
     direct gap measures the horizontal distance to the compound capacity
-    curve at the combined rate.
+    curve at the combined rate.  The end-to-end FER is f1 + f2 - f1*f2 for
+    independent code errors, with the additive bound min(f1 + f2, 1).
     """
     validate_alpha(alpha)
     s = snr.snr_linear
@@ -240,16 +200,16 @@ def evaluate_operating_point(
             "table claims a rate above the Shannon limit at its operating SNR"
         )
     total_rate = (rate1 + rate2) / 2.0
-    fer = compose_fer(fer1, fer2)
     direct_gap = snr2_db - 10.0 * math.log10(inverse_c_compound(alpha, total_rate))
     return OperatingPoint(
         alpha=alpha,
-        snr=snr,
+        snr_db=snr2_db,
+        snr_linear=s,
         code1=CodePoint(snr1_db, fer1, rate1, g1_db),
         code2=CodePoint(snr2_db, fer2, rate2, g2_db),
         total_rate_bits_per_real_dim=total_rate,
-        composed_gap_db=compose_gap(g1_db, g2_db),
+        composed_gap_db=(g1_db + g2_db) / 2.0,
         gap_to_capacity_db=direct_gap,
-        fer_exact=fer.exact,
-        fer_bound=fer.bound,
+        fer_exact=fer1 + fer2 - fer1 * fer2,
+        fer_bound=min(fer1 + fer2, 1.0),
     )

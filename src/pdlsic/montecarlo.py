@@ -30,7 +30,6 @@ from .capacity import c_awgn
 from .channel import (
     ChannelParams,
     Model,
-    PdlClass,
     SampleMode,
     SnrSpec,
     channel_matrix,
@@ -181,6 +180,8 @@ class SimConfig:
         snr_raw = take("snr")
         if not isinstance(snr_raw, dict):
             snr = SnrSpec(number("snr", snr_raw))
+        elif unknown := sorted(set(snr_raw) - {"snr_db", "snr_linear"}):
+            raise ValueError(f"field 'snr' has unknown keys {unknown}")
         elif "snr_linear" in snr_raw:
             # the exact value; an echoed snr_db is derived from it and only cross-checked
             snr = SnrSpec(number("snr_linear", snr_raw["snr_linear"]))
@@ -276,8 +277,7 @@ def _block_params(config: SimConfig, seed) -> ChannelParams:
         g, j = np.divmod(np.arange(config.n_blocks) % (grid.gamma.size * sheet), sheet)
         phi = None if grid.phi is None else grid.phi[0, j]
         return ChannelParams(grid.gamma[g, 0], grid.theta[0, j], phi)
-    return draw_params(PdlClass(config.alpha), config.param_mode, config.model, seed,
-                       config.n_blocks)
+    return draw_params(config.alpha, config.param_mode, config.model, seed, config.n_blocks)
 
 
 def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:

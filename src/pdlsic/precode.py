@@ -172,17 +172,10 @@ class OrthogonalDesignReport:
     max_dev_h2: float
     coupling: np.ndarray
     symmetry_defect: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_dev_h1, self.max_dev_h2, self.symmetry_defect) < self.tol
 
 
-def verify_orthogonal_design(
-    effective: EffectiveChannel, tol: float = 1e-10
-) -> OrthogonalDesignReport:
-    """Certify H1^T H1 = H2^T H2 = I and recover the symmetric coupling S.
+def verify_orthogonal_design(effective: EffectiveChannel) -> OrthogonalDesignReport:
+    """Defects of H1^T H1 = H2^T H2 = I and of the symmetry of the recovered coupling S.
 
     On a stack the defects are maxima over all members; S is kept per member.
     """
@@ -191,4 +184,4 @@ def verify_orthogonal_design(
     dev2 = float(np.abs(gram(effective.h2) - eye).max())
     s = interference_coupling(effective)
     sym = float(np.abs(s - np.swapaxes(s, -1, -2)).max())
-    return OrthogonalDesignReport(dev1, dev2, s, sym, tol)
+    return OrthogonalDesignReport(dev1, dev2, s, sym)

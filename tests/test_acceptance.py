@@ -16,7 +16,6 @@ from pdlsic import capacity
 from pdlsic.channel import (
     ChannelParams,
     Model,
-    PdlClass,
     SampleMode,
     SnrSpec,
     draw_params,
@@ -45,7 +44,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 def interior_draws(alpha: float, model: Model, seed: int, count: int) -> ChannelParams:
     """The seeded UniformInterior draws as one array-valued ChannelParams."""
-    return draw_params(PdlClass(alpha), SampleMode.UNIFORM_INTERIOR, model, seed, count)
+    return draw_params(alpha, SampleMode.UNIFORM_INTERIOR, model, seed, count)
 
 
 def report(criterion: int, name: str, ok: bool, detail: str):

@@ -11,7 +11,6 @@ from pdlsic.channel import (
     TWO_PI,
     ChannelParams,
     Model,
-    PdlClass,
     SampleMode,
     SnrSpec,
     alpha_from_pdl_db,
@@ -60,10 +59,6 @@ class TestDbConversions:
 
 
 class TestTypes:
-    def test_pdl_class_validates(self):
-        with pytest.raises(ValueError):
-            PdlClass(1.0)
-
     def test_snr_spec_roundtrip(self):
         spec = SnrSpec.from_db(13.0103)
         assert spec.snr_linear == pytest.approx(20.0, abs=1e-3)
@@ -171,36 +166,32 @@ class TestMatrices:
 
 class TestSampling:
     def test_alpha_zero_all_gamma_zero(self):
-        pdl = PdlClass(0.0)
         for mode in (SampleMode.WORST_CASE_EDGE, SampleMode.UNIFORM_INTERIOR):
-            assert all(p.gamma == 0.0 for p in sample_params(pdl, mode, Model.REAL, seed=1, count=50))
+            assert all(p.gamma == 0.0 for p in sample_params(0.0, mode, Model.REAL, seed=1, count=50))
         for model in Model:
             assert np.all(lattice(0.0, model, 5, 4, 3).gamma == 0.0)
 
     def test_edge_mode_is_extremal(self):
-        pdl = PdlClass(0.599)
         both_signs = set()
-        for p in sample_params(pdl, SampleMode.WORST_CASE_EDGE, Model.COMPLEX, seed=2, count=200):
+        for p in sample_params(0.599, SampleMode.WORST_CASE_EDGE, Model.COMPLEX, seed=2, count=200):
             assert abs(p.gamma) == pytest.approx(0.599, rel=1e-15)
             assert p.phi is not None
             both_signs.add(np.sign(p.gamma))
         assert both_signs == {-1.0, 1.0}
 
     def test_interior_mode_within_bounds(self):
-        pdl = PdlClass(0.4)
-        for p in sample_params(pdl, SampleMode.UNIFORM_INTERIOR, Model.REAL, seed=3, count=500):
+        for p in sample_params(0.4, SampleMode.UNIFORM_INTERIOR, Model.REAL, seed=3, count=500):
             assert abs(p.gamma) <= 0.4
             assert p.phi is None
 
     def test_deterministic_for_seed(self):
-        pdl = PdlClass(0.3)
-        a = list(sample_params(pdl, SampleMode.UNIFORM_INTERIOR, Model.COMPLEX, seed=9, count=20))
-        b = list(sample_params(pdl, SampleMode.UNIFORM_INTERIOR, Model.COMPLEX, seed=9, count=20))
+        a = list(sample_params(0.3, SampleMode.UNIFORM_INTERIOR, Model.COMPLEX, seed=9, count=20))
+        b = list(sample_params(0.3, SampleMode.UNIFORM_INTERIOR, Model.COMPLEX, seed=9, count=20))
         assert a == b
 
     def test_random_modes_require_count(self):
         with pytest.raises(ValueError):
-            list(sample_params(PdlClass(0.3), SampleMode.WORST_CASE_EDGE, Model.REAL))
+            list(sample_params(0.3, SampleMode.WORST_CASE_EDGE, Model.REAL))
 
 
 def reference_lattice(alpha, model, n_gamma, n_theta, n_phi):
@@ -271,7 +262,7 @@ class TestDrawParams:
         count=st.integers(1, 41),
     )
     def test_matches_the_scalar_stream(self, mode, model, seed, alpha, count):
-        drawn = draw_params(PdlClass(alpha), mode, model, seed, count)
+        drawn = draw_params(alpha, mode, model, seed, count)
         expect = scalar_draws(alpha, mode, model, seed, count)
         assert np.array_equal(drawn.gamma, expect.gamma)
         assert np.array_equal(drawn.theta, expect.theta)
@@ -282,11 +273,17 @@ class TestDrawParams:
 
     def test_takes_a_seed_sequence(self):
         seq = np.random.SeedSequence(7).spawn(2)[0]
-        drawn = draw_params(PdlClass(0.6), SampleMode.WORST_CASE_EDGE, Model.COMPLEX, seq, 9)
+        drawn = draw_params(0.6, SampleMode.WORST_CASE_EDGE, Model.COMPLEX, seq, 9)
         expect = scalar_draws(0.6, SampleMode.WORST_CASE_EDGE, Model.COMPLEX, seq, 9)
         assert np.array_equal(drawn.gamma, expect.gamma)
         assert np.array_equal(drawn.phi, expect.phi)
 
     def test_grid_is_not_random(self):
         with pytest.raises(ValueError):
-            draw_params(PdlClass(0.3), SampleMode.GRID, Model.REAL, 0, 5)
+            draw_params(0.3, SampleMode.GRID, Model.REAL, 0, 5)
+
+    @pytest.mark.parametrize("mode", [SampleMode.WORST_CASE_EDGE, SampleMode.UNIFORM_INTERIOR])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5, math.nan])
+    def test_rejects_alpha_outside_unit_interval(self, alpha, mode):
+        with pytest.raises(ValueError, match="alpha"):
+            draw_params(alpha, mode, Model.REAL, 0, 5)

@@ -288,13 +288,58 @@ class TestVerify:
             ["--suite", "means", "--n-gamma", "0"],
             ["--suite", "orthogonality", "--draws", "0"],
             ["--suite", "snr-closed-forms", "--draws", "-3"],
+            # an empty order once ran the universal precoder and passed
+            ["--suite", "star-property", "--permute", ""],
+            ["--suite", "star-property", "--permute", "0,,1"],
+            ["--suite", "star-property", "--permute", "a,b"],
         ],
     )
     def test_empty_grid_or_sample_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--alpha", "0.599", *argv])
         assert exc.value.code == 2
-        assert "must be at least" in capsys.readouterr().err
+        message = "comma-separated integers" if "--permute" in argv else "must be at least"
+        assert message in capsys.readouterr().err
+
+    def test_permute_must_fit_every_model_before_any_output(self, capsys, tmp_path):
+        # 4 columns fit the real precoder but not the complex one: nothing runs, nothing is written
+        out = tmp_path / "star.json"
+        code, stdout, err = run_cli(
+            ["verify", "--suite", "star-property", "--alpha", "0.599", "--n-gamma", "3",
+             "--permute", "0,2,1,3", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "order must be a permutation of 0..7" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["real", "complex", "both"])
+    @pytest.mark.parametrize(
+        "suite", ["orthogonality", "snr-closed-forms", "star-property", "worst-case", "means"]
+    )
+    def test_driver_prints_one_verdict_per_model(self, suite, model, capsys, tmp_path):
+        out = tmp_path / "detail.json"
+        code, stdout, _ = run_cli(
+            ["verify", "--suite", suite, "--alpha", "0.599", "--model", model,
+             "--draws", "50", "--n-gamma", "5", "--n-theta", "8", "--n-phi", "4",
+             "--n-beta", "21", "--out", str(out)],
+            capsys,
+        )
+        payload = json.loads(out.read_text())
+        if suite in ("worst-case", "means"):  # model-free: one verdict, a flat detail
+            names, verdicts = [suite], [payload["detail"]["passed"]]
+        else:
+            models = ["real", "complex"] if model == "both" else [model]
+            names = [f"{suite}[{m}]" for m in models]
+            assert list(payload["detail"]) == models
+            verdicts = [payload["detail"][m]["passed"] for m in models]
+        lines = stdout.splitlines()
+        assert len(lines) == len(names)
+        for line, name, passed in zip(lines, names, verdicts):
+            assert line.startswith(f"{'PASS' if passed else 'FAIL'} {name} ")
+        assert payload["passed"] is all(verdicts)
+        assert code == (0 if payload["passed"] else 1)
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -393,6 +438,7 @@ class TestSimulate:
             ({"snr": {"snr_linear": True}}, "snr_linear"),
             ({"snr": {"snr_db": "13"}}, "snr_db"),
             ({"snr": {"snr_linear": 5, "snr_db": False}}, "snr_db"),
+            ({"snr": {"snr_db": 13.0, "snr_lineer": 5}}, "snr_lineer"),
             ({"alpha": 10**400}, "alpha"),
         ],
     )

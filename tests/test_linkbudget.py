@@ -18,8 +18,6 @@ from pdlsic.linkbudget import (
     FerTable,
     FerTableError,
     SnrOutOfRangeError,
-    compose_fer,
-    compose_gap,
     evaluate_operating_point,
 )
 
@@ -266,42 +264,83 @@ class TestFerTableProperties:
         assert captured.out == "" and "error" in captured.err
 
 
+def single_row(snr_db, fer, rate):
+    return FerTable((FerPoint(snr_db, fer, rate, "synthetic"),))
+
+
+def rate_for_gap(snr_db, gap_db):
+    """The rate whose Shannon SNR sits ``gap_db`` below ``snr_db``."""
+    return 0.5 * math.log2(1.0 + 10.0 ** ((snr_db - gap_db) / 10.0))
+
+
+def compose(f1, f2, g1=1.0, g2=1.0, alpha=0.599, snr_db=13.01):
+    """The operating point of one-row tables with FERs f1, f2 and code gaps g1, g2 dB."""
+    snr = SnrSpec.from_db(snr_db)
+    snr1_db = 10.0 * math.log10((1.0 - alpha**2) * snr.snr_linear)
+    table1 = single_row(snr1_db, f1, rate_for_gap(snr1_db, g1))
+    table2 = single_row(snr.snr_db, f2, rate_for_gap(snr.snr_db, g2))
+    return evaluate_operating_point(alpha, snr, table1, table2)
+
+
 class TestCompose:
+    """The end-to-end FER and composed gap of evaluate_operating_point on synthetic tables."""
+
     def test_gap_examples(self):
-        assert compose_gap(1.0, 1.0) == 1.0
-        assert compose_gap(0.0, 0.0) == 0.0
-        assert compose_gap(0.8, 1.2) == pytest.approx(1.0, rel=1e-15)
+        assert compose(1e-3, 1e-3, 1.0, 1.0).composed_gap_db == pytest.approx(1.0, abs=1e-12)
+        assert compose(1e-3, 1e-3, 0.8, 1.2).composed_gap_db == pytest.approx(1.0, abs=1e-12)
 
     def test_gap_symmetry(self):
-        assert compose_gap(0.3, 0.9) == compose_gap(0.9, 0.3)
+        # at alpha = 0 both codes see the same SNR, so swapping them swaps the gaps
+        a = compose(1e-3, 1e-3, 0.3, 0.9, alpha=0.0)
+        b = compose(1e-3, 1e-3, 0.9, 0.3, alpha=0.0)
+        assert a.composed_gap_db == b.composed_gap_db
 
     def test_gap_domain(self):
-        with pytest.raises(ValueError):
-            compose_gap(-0.1, 1.0)
+        # a rate above the Shannon limit of its code's SNR is a negative gap
+        with pytest.raises(FerTableError):
+            compose(1e-3, 1e-3, g1=-0.1)
 
     def test_fer_examples(self):
-        comp = compose_fer(1.2e-3, 1.3e-3)
-        assert comp.bound == pytest.approx(2.5e-3, rel=1e-12)
-        assert comp.exact == pytest.approx(2.49844e-3, rel=1e-9)
-        assert comp.exact <= comp.bound
+        point = compose(1.2e-3, 1.3e-3)
+        assert point.fer_bound == pytest.approx(2.5e-3, rel=1e-12)
+        assert point.fer_exact == pytest.approx(2.49844e-3, rel=1e-9)
+        assert point.fer_exact <= point.fer_bound
 
     def test_fer_edge_cases(self):
-        comp = compose_fer(0.0, 0.37)
-        assert comp.exact == comp.bound == 0.37
-        assert compose_fer(0.9, 0.9).bound == 1.0
+        point = compose(0.0, 0.37)
+        assert point.fer_exact == point.fer_bound == 0.37
+        assert compose(0.9, 0.9).fer_bound == 1.0
 
     def test_bound_minus_exact_is_product(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             f1, f2 = rng.uniform(0, 0.4, size=2)
-            comp = compose_fer(f1, f2)
-            assert comp.bound - comp.exact == pytest.approx(f1 * f2, rel=1e-10)
+            point = compose(f1, f2)
+            assert point.fer_bound - point.fer_exact == pytest.approx(f1 * f2, rel=1e-10)
 
     def test_fer_domain(self):
-        with pytest.raises(ValueError):
-            compose_fer(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            compose_fer(0.5, 1.1)
+        # a table cannot hold an FER outside [0, 1], so none reaches the composition
+        with pytest.raises(FerTableError):
+            compose(-0.1, 0.5)
+        with pytest.raises(FerTableError):
+            compose(0.5, 1.1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f1=st.floats(0.0, 1.0),
+        f2=st.floats(0.0, 1.0),
+        g1=st.floats(0.01, 3.0),
+        g2=st.floats(0.01, 3.0),
+        alpha=st.floats(0.0, 0.9),
+        snr_db=st.floats(0.0, 30.0),
+    )
+    def test_composition_laws(self, f1, f2, g1, g2, alpha, snr_db):
+        point = compose(f1, f2, g1, g2, alpha, snr_db)
+        assert (point.code1.fer, point.code2.fer) == (f1, f2)
+        assert point.fer_exact == f1 + f2 - f1 * f2
+        assert point.fer_bound == min(f1 + f2, 1.0)
+        assert point.composed_gap_db == (point.code1.gap_db + point.code2.gap_db) / 2.0
+        assert point.composed_gap_db == pytest.approx((g1 + g2) / 2.0, abs=1e-9)
 
 
 class TestOperatingPoint:

@@ -75,6 +75,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="snr_db"):
             SimConfig.from_dict(data)
 
+    @pytest.mark.parametrize("snr", [
+        {"snr_db": 13.0, "snr_lineer": 5},
+        {"snr_linear": 5, "SNR_DB": 7.0},
+        {"snr_db": 13.0, "": 1},
+    ])
+    def test_from_dict_rejects_unknown_snr_keys(self, snr):
+        data = config().as_dict()
+        data["snr"] = snr
+        with pytest.raises(ValueError, match="'snr' has unknown keys"):
+            SimConfig.from_dict(data)
+
     def test_from_dict_accepts_db(self):
         cfg = SimConfig.from_dict(
             {

@@ -112,6 +112,11 @@ class TestEffectiveChannel:
                 assert np.trace(h.T @ h) == pytest.approx(h.shape[0], abs=1e-12)
 
 
+def design_defect(rep) -> float:
+    """The largest of the H1, H2 and symmetry defects of an orthogonal-design report."""
+    return max(rep.max_dev_h1, rep.max_dev_h2, rep.symmetry_defect)
+
+
 class TestOrthogonalDesign:
     @pytest.mark.parametrize(
         "model,pre",
@@ -121,16 +126,14 @@ class TestOrthogonalDesign:
         rng = np.random.default_rng(1)
         for _ in range(2000):
             eff = effective_channel(random_params(rng, model), pre, SNR)
-            rep = verify_orthogonal_design(eff)
-            assert rep.passed
-            assert max(rep.max_dev_h1, rep.max_dev_h2) < 1e-10
+            assert design_defect(verify_orthogonal_design(eff)) < 1e-10
 
     def test_default_grid_certifies(self):
         for model, pre in ((Model.REAL, precoder_real()), (Model.COMPLEX, precoder_complex())):
             grid = lattice(0.95, model, 11, 16, 8)  # the whole lattice as one broadcast stack
             rep = verify_orthogonal_design(effective_channel(grid, pre, SNR))
             assert rep.coupling.shape[:2] == (11, 16 * (8 if model is Model.COMPLEX else 1))
-            assert rep.passed
+            assert design_defect(rep) < 1e-10
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -146,13 +149,13 @@ class TestOrthogonalDesign:
         params = ChannelParams(sign * magnitude, theta, phi if model is Model.COMPLEX else None)
         eff = effective_channel(params, universal_precoder(model), SNR)
         assert np.linalg.cond(eff.matrix) < CONDITION_LIMIT
-        assert verify_orthogonal_design(eff).passed
+        assert design_defect(verify_orthogonal_design(eff)) < 1e-10
 
     def test_identity_precoder_fails(self):
         eff = effective_channel(
             ChannelParams(0.5, math.pi / 4), identity_precoder(Model.REAL), SNR
         )
-        assert not verify_orthogonal_design(eff).passed
+        assert design_defect(verify_orthogonal_design(eff)) >= 1e-10
 
     def test_coupling_eigenvalues_are_gamma_squared(self):
         rng = np.random.default_rng(2)
