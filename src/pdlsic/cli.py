@@ -389,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-phi", type=_count(1), default=capacity.GRID_N_PHI)
     p.add_argument("--draws", type=_count(1), default=10000,
                    help="Random parameter draws for the sampling suites.")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", help="Write JSON detail to this path.")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Run a Monte Carlo simulation from a JSON config.")
     p.add_argument("--config", required=True, help="JSON file mirroring SimConfig fields.")
-    p.add_argument("--seed", type=int, default=None, help="Override the config's seed.")
+    p.add_argument("--seed", type=_count(0), default=None, help="Override the config's seed.")
     p.add_argument("--out", help="Output JSON path (default stdout).")
     p.set_defaults(func=cmd_simulate)
 

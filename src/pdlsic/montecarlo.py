@@ -2,13 +2,21 @@
 
 Execution is block fading: channel parameters are drawn once per block of
 symbols (the physical parameters vary slowly relative to the baud rate) and
-estimators stratify by block.  The channels and equalizers of all blocks
-are built in one batched call; each block then draws its symbols and noise
-from its own seed, derived up front from the master seed, the arithmetic
-runs stacked over chunks of blocks, and per-block results are summed in
-block order, so a report is byte-identical for a fixed config.  Standard
-errors come from a per-block jackknife, which respects block correlation
-without distributional assumptions.
+estimators stratify by block.  The master seed spawns two children: one
+draws the parameters of all blocks at once, the other spawns the two
+streams of the run, noise (child 0) and PAM symbols (child 1).  Each stream
+is drawn block-major, one call per chunk of blocks, so block b reads the
+b-th segment of each stream whatever the chunk size; Gaussian symbols share
+the noise stream, the first n rows of each block's ``(2n, trials)`` segment.
+The channels and equalizers are built per chunk, the arithmetic runs
+stacked over the chunk, and each stage's moments are reduced to running
+sums in block order, so a report is byte-identical for a fixed config and
+independent of the chunk size.  (This stream layout replaced one seed per
+block in one change; reports for a given seed changed then, once.)
+Standard errors come from a per-block jackknife, which respects block
+correlation without distributional assumptions; the jackknife of the
+second moments runs on the sums, and only the stream signal and noise of
+each block are kept for the SNR jackknife.
 
 Gaussian inputs are the default oracle; PAM exists solely to certify that
 the synthesized streams behave as scalar AWGN channels under a standard
@@ -21,7 +29,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
-from itertools import groupby
 
 import numpy as np
 from scipy.special import erfc
@@ -46,10 +53,10 @@ from .equalize import (
 )
 from .precode import effective_channel, universal_precoder
 
-#: Elements per chunk array of the per-block symbols, noise and their
-#: products: blocks of equal length are simulated C at a time, with C the
-#: largest count within this bound (at least one).  The bound keeps the
-#: arrays small; the report does not depend on it.
+#: Elements per chunk array of the per-block symbols or noise (a Gaussian
+#: draw of both is twice that): blocks of equal length are simulated C at a
+#: time, with C the largest count within this bound (at least one).  The
+#: bound keeps the arrays small; the report does not depend on it.
 CHUNK_ELEMENTS = 2**12
 
 _PAM_PATTERN = re.compile(r"^PAM\((\d+)\)$")
@@ -125,6 +132,8 @@ class SimConfig:
             raise ValueError("trials must be at least 1")
         if self.block_size < 1:
             raise ValueError("block_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         pam_order(self.constellation)
 
     @property
@@ -285,117 +294,206 @@ def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:
     return np.clip(idx, 0, order - 1).astype(np.int64)
 
 
-def _chunks(trial_counts: list[int], n: int):
-    """``(start, stop)`` runs of blocks with equal trial counts, each within CHUNK_ELEMENTS.
+def _pam_delta(config: SimConfig, order: int) -> float:
+    """Half the spacing of PAM symbols whose mean energy is the SNR."""
+    return math.sqrt(3.0 * config.snr.snr_linear / (order**2 - 1.0))
 
-    A chunk holds at most CHUNK_ELEMENTS // (n * trials) blocks, and at least one.
+
+def _chunks(config: SimConfig, n: int):
+    """``(start, stop, trials)`` runs of blocks of equal length, each within CHUNK_ELEMENTS.
+
+    Every block holds ``block_size`` trials but the last, which holds the
+    remainder when there is one and is then a chunk of its own.  A chunk
+    holds at most CHUNK_ELEMENTS // (n * trials) blocks, and at least one.
     """
-    start = 0
-    for n_trials, group in groupby(trial_counts):
-        stop = start + len(list(group))
-        size = max(1, CHUNK_ELEMENTS // (n * n_trials))
-        for b in range(start, stop, size):
-            yield b, min(b + size, stop)
-        start = stop
+    full, last = divmod(config.trials, config.block_size)
+    size = max(1, CHUNK_ELEMENTS // (n * config.block_size))
+    for start in range(0, full, size):
+        yield start, min(start + size, full), config.block_size
+    if last:
+        yield full, full + 1, last
 
 
-def _simulate_blocks(config: SimConfig, params: ChannelParams, blocks_root, trial_counts):
-    """Per-block sums of each stage and, for PAM, per-block symbol errors.
+def _block_draws(config: SimConfig, blocks_root, n: int):
+    """Per chunk, ``(start, stop, u, idx, z)``: symbols, PAM indices (None if Gaussian), noise.
 
-    The channel H, first-stage equalizer E and diag(E @ H) of every block
-    are built in one call.  Each block then only draws its symbols and noise,
-    from its own seed, into the arrays of its chunk; everything else is one
-    stacked call per chunk, bitwise equal to the same call per block.  Block
-    b's seed is child b of ``blocks_root``, spawned chunk by chunk.
-    A stage's sums are ``(3, B, n, n)``: u u^T, u z^T and z z^T (n/2 streams
-    in stage 2).  Errors are None or ``(2, B, n)``: genie, then
-    decision-directed cancellation (the same without SIC).
+    Child 0 of ``blocks_root`` seeds the noise stream and child 1 the PAM
+    symbol stream.  Each is drawn block-major, one call per chunk, so block
+    b reads the b-th segment of each stream whatever the chunk size.
+    Gaussian symbols share the noise stream: block b's ``(2n, trials)``
+    segment holds its symbols in the first n rows and its noise in the rest.
     """
-    if config.scheme.uses_precoder:
-        eff = effective_channel(params, universal_precoder(config.model), config.snr)
-        h, e = eff.matrix, first_stage_equalizer(eff, config.scheme.first_stage)
-    else:
-        h = channel_matrix(params)
-        e = np.linalg.inv(h)
-    lam = np.diagonal(e @ h, axis1=-2, axis2=-1).copy()
-    n_blocks, m, n = h.shape
-    k = n // 2
-    s = config.snr.snr_linear
+    noise, symbols = (np.random.default_rng(child) for child in blocks_root.spawn(2))
     order = pam_order(config.constellation)
-    delta = None if order is None else math.sqrt(3.0 * s / (order**2 - 1.0))
-    moments = [np.empty((3, n_blocks, n, n))]
-    if config.scheme.is_sic:
-        moments.append(np.empty((3, n_blocks, k, k)))
-    errors = None if order is None else np.empty((2, n_blocks, n), dtype=np.int64)
-
-    def products(a, b):  # a a^T, a b^T, b b^T over the chunk
-        return a @ a.swapaxes(1, 2), a @ b.swapaxes(1, 2), b @ b.swapaxes(1, 2)
-
-    for start, stop in _chunks(trial_counts, n):  # H is square: n == m
-        chunk = slice(start, stop)
-        shape = (stop - start, n, trial_counts[start])
-        u = np.empty(shape)
-        idx = None if order is None else np.empty(shape, dtype=np.int64)
-        z = np.empty((stop - start, m, shape[2]))
-        for c, seed in enumerate(blocks_root.spawn(stop - start)):
-            rng = np.random.default_rng(seed)
-            if order is None:
-                rng.standard_normal(out=u[c])
-            else:
-                idx[c] = rng.integers(0, order, size=shape[1:])
-            rng.standard_normal(out=z[c])
+    scale = math.sqrt(config.snr.snr_linear) if order is None else _pam_delta(config, order)
+    for start, stop, t in _chunks(config, n):
         if order is None:
-            u *= math.sqrt(s)
+            w = noise.standard_normal((stop - start, 2 * n, t))
+            yield start, stop, scale * w[:, :n], None, w[:, n:]
         else:
-            u = delta * (2.0 * idx - (order - 1))
+            idx = symbols.integers(0, order, (stop - start, n, t))
+            u = scale * (2.0 * idx - (order - 1))
+            yield start, stop, u, idx, noise.standard_normal((stop - start, n, t))
 
-        h_c, lam_c = h[chunk], lam[chunk, :, None]
-        y = h_c @ u + z
-        ey = e[chunk] @ y
-        u_tilde = lam_c * u
-        moments[0][:, chunk] = products(u_tilde, ey - u_tilde)
+
+class _StageSums:
+    """Running sums of one stage's second moments over its blocks.
+
+    A block's moments are the Gram matrix ``[[u u^T, u z^T], [z u^T, z z^T]]``
+    of its signal u and noise z.  Over the full blocks (``block_size``
+    trials) three sums run: the Gram matrices, their deviations d from
+    block 0's, and d squared; the ragged last block is kept as a term of its
+    own.  With equal trial counts a full block's leave-one-out mean is linear
+    in its own Gram matrix, so these sums give the jackknife of k_uu, k_uz
+    and k_zz exactly, and Chan's pairwise update adds the ragged block.
+    Deviations are divided before squaring by block 0's Cauchy-Schwarz bound
+    sqrt(G_ii G_jj), so the standard errors neither overflow nor underflow
+    at extreme SNRs.  Each chunk is added row by row in block order, so the
+    sums do not depend on the chunking.  Only the stream signal and noise,
+    the diagonals of u u^T and z z^T, are kept per block: the SNR jackknife
+    is a ratio of block sums and needs them.
+    """
+
+    def __init__(self, config: SimConfig, n: int):
+        self.block_size = config.block_size
+        self.full = 0
+        self.sums = np.zeros((3, 2 * n, 2 * n))
+        self.shift = self.scale = self.ragged = None
+        self.ragged_trials = 0
+        self.signal = np.empty((config.n_blocks, n))
+        self.noise = np.empty((config.n_blocks, n))
+
+    def add(self, start: int, u: np.ndarray, z: np.ndarray) -> None:
+        """Add blocks ``start, start + 1, ...`` of signal ``u`` and noise ``z``, each ``(C, n, T)``."""
+        uz = np.concatenate((u, z), axis=1)
+        count, n, trials = u.shape
+        rows = np.empty((count + 1,) + self.sums.shape)
+        rows[0] = self.sums
+        gram = np.matmul(uz, uz.swapaxes(1, 2), out=rows[1:, 0])
+        diag = np.diagonal(gram, axis1=1, axis2=2)
+        self.signal[start:start + count] = diag[:, :n]
+        self.noise[start:start + count] = diag[:, n:]
+        if trials < self.block_size:  # the ragged last block, a chunk of its own
+            self.ragged, self.ragged_trials = gram[0].copy(), trials
+            return
+        if self.shift is None:
+            root = np.sqrt(diag[0])
+            root[root == 0.0] = 1.0
+            self.shift, self.scale = gram[0].copy(), np.outer(root, root)
+        dev = np.subtract(gram, self.shift, out=rows[1:, 1])
+        dev /= self.scale
+        np.square(dev, out=rows[1:, 2])
+        self.sums = np.add.reduce(rows, axis=0)  # along the slow axis: row by row, in order
+        self.full += count
+
+    def stats(self) -> EmpiricalStats:
+        """Jackknifed statistics of the stage."""
+        f, t = self.full, self.block_size
+        total, n_trials = self.sums[0], f * t
+        if self.ragged is not None:
+            total, n_trials = total + self.ragged, n_trials + self.ragged_trials
+        blocks = f + (self.ragged is not None)
+        stderr = None
+        if blocks > 1:
+            # the full blocks' leave-one-out means deviate from their mean
+            # by -(G_b - mean G)/(N - t)
+            _, dev, dev2 = self.sums
+            m2 = np.maximum(dev2 - dev * dev / f, 0.0) / float(n_trials - t) ** 2
+            if self.ragged is not None:
+                gap = ((total - self.sums[0] / f) / (n_trials - t)
+                       - (total - self.ragged) / (n_trials - self.ragged_trials))
+                m2 += f / (f + 1.0) * (gap / self.scale) ** 2
+            stderr = self.scale * np.sqrt((blocks - 1) / blocks * m2)
+        n = self.signal.shape[1]
+
+        def moments(g):  # u u^T, u z^T, z z^T
+            return (None,) * 3 if g is None else (g[:n, :n], g[:n, n:], g[n:, n:])
+
+        snr, snr_se = _jackknife_ratio(self.signal, self.noise)
+        return EmpiricalStats(*moments(total / n_trials), *moments(stderr), snr, snr_se)
+
+
+def _simulate_blocks(config: SimConfig, params: ChannelParams, blocks_root):
+    """The running sums of each stage and, for PAM, the symbol error totals.
+
+    The precoder is built once.  Per chunk of blocks, the channel H, the
+    first-stage equalizer E and diag(E @ H) are built from the chunk's
+    parameters, the symbols and noise come from :func:`_block_draws`, and
+    the channel output, equalization, moment products, cancellation and
+    PAM slicing are stacked calls, bitwise equal to the same call per
+    block.  Only the stage sums of :class:`_StageSums` outlive a chunk.
+    A stage has n streams (n/2 in stage 2).  Errors are None or ``(2, n)``
+    totals: genie, then decision-directed cancellation (the same without
+    SIC).
+    """
+    scheme = config.scheme
+    precoder = universal_precoder(config.model) if scheme.uses_precoder else None
+    n = config.model.dim * (1 if precoder is None else 2)
+    k = n // 2
+    order = pam_order(config.constellation)
+    delta = None if order is None else _pam_delta(config, order)
+    stages = [_StageSums(config, n)] + ([_StageSums(config, k)] if scheme.is_sic else [])
+    errors = None if order is None else np.zeros((2, n), dtype=np.int64)
+
+    def errors_of(estimates, idx):
+        return (_pam_slice(estimates, delta, order) != idx).sum(axis=(0, 2))
+
+    for start, stop, u, idx, z in _block_draws(config, blocks_root, n):
+        phi = None if params.phi is None else params.phi[start:stop]
+        chunk = ChannelParams(params.gamma[start:stop], params.theta[start:stop], phi)
+        if precoder is None:
+            h = channel_matrix(chunk)
+            e = np.linalg.inv(h)
+        else:
+            eff = effective_channel(chunk, precoder, config.snr)
+            h, e = eff.matrix, first_stage_equalizer(eff, scheme.first_stage)
+        lam = np.diagonal(e @ h, axis1=-2, axis2=-1)[..., None]
+        y = h @ u + z
+        ey = e @ y
+        u_tilde = lam * u
+        stages[0].add(start, u_tilde, ey - u_tilde)
         if order is not None:
-            idx1_hat = _pam_slice(ey / lam_c, delta, order)
-            errors[:, chunk] = (idx1_hat != idx).sum(axis=2)
+            idx1_hat = _pam_slice(ey / lam, delta, order)
+            first = (idx1_hat != idx).sum(axis=(0, 2))
+            errors[:, :k] += first[:k]
+            if not scheme.is_sic:
+                errors[:, k:] += first[k:]
 
-        if config.scheme.is_sic:
-            y_hat = cancel_first_group(h_c, u[:, :k], y)
-            moments[1][:, chunk] = products(u[:, k:], y_hat - u[:, k:])
+        if scheme.is_sic:
+            y_hat = cancel_first_group(h, u[:, :k], y)
+            stages[1].add(start, u[:, k:], y_hat - u[:, k:])
             if order is not None:
                 u_dd = delta * (2.0 * idx1_hat[:, :k] - (order - 1))
-                y_hat_dd = cancel_first_group(h_c, u_dd, y)
-                errors[0, chunk, k:] = (_pam_slice(y_hat, delta, order) != idx[:, k:]).sum(axis=2)
-                errors[1, chunk, k:] = (_pam_slice(y_hat_dd, delta, order) != idx[:, k:]).sum(axis=2)
-    return moments, errors
+                errors[0, k:] += errors_of(y_hat, idx[:, k:])
+                errors[1, k:] += errors_of(cancel_first_group(h, u_dd, y), idx[:, k:])
+    return stages, errors
 
 
 def _jackknife_ratio(num: np.ndarray, den: np.ndarray):
-    """Estimate and leave-one-block-out standard error of sum(num)/sum(den)."""
+    """Estimate and leave-one-block-out standard error of sum(num)/sum(den).
+
+    The deviations are divided by their largest magnitude before squaring,
+    so the standard error neither overflows nor underflows at extreme scales.
+    """
     b = num.shape[0]
     total_num = num.sum(axis=0)
     total_den = den.sum(axis=0)
     estimate = total_num / total_den
     if b < 2:
         return estimate, None
-    loo = (total_num - num) / (total_den - den)
-    se = np.sqrt((b - 1) / b * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
-    return estimate, se
+    dev = total_num - num  # in place from here on: B may be 10**6 blocks
+    dev /= total_den - den
+    dev -= dev.mean(axis=0)
+    scale = np.maximum(dev.max(axis=0), -dev.min(axis=0))
+    scale[scale == 0.0] = 1.0
+    dev /= scale
+    return estimate, scale * np.sqrt((b - 1) / b * np.square(dev, out=dev).sum(axis=0))
 
 
-def _stage_stats(moments: np.ndarray, counts: np.ndarray) -> tuple[EmpiricalStats, np.ndarray]:
-    """Jackknifed statistics of one stage from its block sums, and its stream SNRs per block."""
-    denom = counts[:, None, None]
-    means, stderrs = zip(*(_jackknife_ratio(x, denom) for x in moments))  # uu, uz, zz
-    diag = np.arange(moments.shape[-1])
-    # fancy indexing copies; summing a diagonal view would change the order of the sums
-    signal, noise = moments[0][:, diag, diag], moments[2][:, diag, diag]
-    snr, snr_se = _jackknife_ratio(signal, noise)
-    return EmpiricalStats(*means, *stderrs, snr, snr_se), signal / noise
-
-
-def _ser_stats(config: SimConfig, errors: np.ndarray, n_total: int) -> SerStats:
+def _ser_stats(config: SimConfig, errors: np.ndarray) -> SerStats:
     order = pam_order(config.constellation)
-    err_genie, err_dd = errors.sum(axis=1)
+    n_total = config.trials
+    err_genie, err_dd = errors
     n_streams = err_genie.shape[0]
     k = n_streams // 2
     ser_genie = err_genie / n_total
@@ -432,39 +530,29 @@ def run(config: SimConfig) -> SimReport:
 
     Parameters are redrawn once per block; genie-aided cancellation is used
     for the SIC schemes.  The report aggregates exact per-block second-moment
-    sums, so a fixed config gives a byte-identical report.
+    sums in block order, so a fixed config gives a byte-identical report.
     """
-    master = np.random.SeedSequence(config.seed)
-    params_seed, blocks_root = master.spawn(2)
+    params_seed, blocks_root = np.random.SeedSequence(config.seed).spawn(2)
     params = _block_params(config, params_seed)
-    trial_counts = [
-        min(config.block_size, config.trials - b * config.block_size)
-        for b in range(config.n_blocks)
-    ]
+    sums, errors = _simulate_blocks(config, params, blocks_root)
 
-    moments, errors = _simulate_blocks(config, params, blocks_root, trial_counts)
-
-    counts = np.array(trial_counts, dtype=float)
-    stage1, block_snrs = _stage_stats(moments[0], counts)
-    stages = (stage1,)
-    snr, snr_se = stage1.snr_per_stream, stage1.snr_stderr
+    stages = tuple(stage.stats() for stage in sums)
+    snr, snr_se = stages[0].snr_per_stream, stages[0].snr_stderr
+    block_snrs = sums[0].signal / sums[0].noise if config.report_blocks else None
     if config.scheme.is_sic:
-        stage2, second_block_snrs = _stage_stats(moments[1], counts)
-        stages += (stage2,)
-        snr = post_sic_streams(snr, stage2.snr_per_stream)
+        snr = post_sic_streams(snr, stages[1].snr_per_stream)
         if snr_se is not None:
-            snr_se = post_sic_streams(snr_se, stage2.snr_stderr)
-        block_snrs = post_sic_streams(block_snrs, second_block_snrs)
+            snr_se = post_sic_streams(snr_se, stages[1].snr_stderr)
+        if block_snrs is not None:
+            block_snrs = post_sic_streams(block_snrs, sums[1].signal / sums[1].noise)
 
     rate = float(np.mean(c_awgn(snr))) if errors is None else None
-    ser = None if errors is None else _ser_stats(config, errors, sum(trial_counts))
     return SimReport(
         config=config,
         stages=stages,
         snr_per_stream=snr,
         snr_stderr=snr_se,
         rate_bits_per_real_dim=rate,
-        ser=ser,
-        block_snrs=block_snrs if config.report_blocks else None,
+        ser=None if errors is None else _ser_stats(config, errors),
+        block_snrs=block_snrs,
     )
-

@@ -418,6 +418,17 @@ class TestSimulate:
         assert code == 2
         assert "2" in err  # line number of the defect
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "unread.json", "--seed", "-3"],
+        ["verify", "--suite", "orthogonality", "--alpha", "0.599", "--seed", "-1"],
+    ])
+    def test_negative_seed_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "must be at least 0" in err
+
     @pytest.mark.parametrize(
         "override, named",
         [
@@ -426,6 +437,7 @@ class TestSimulate:
             ({"trials": 1.7}, "trials"),
             ({"trials": True}, "trials"),
             ({"seed": 0.5}, "seed"),
+            ({"seed": -3}, "seed"),
             ({"block_size": "10"}, "block_size"),
             ({"snr": {"snr_linear": float("inf")}}, "snr_linear"),
             ({"snr": {"snr_db": float("nan")}}, "snr_linear"),

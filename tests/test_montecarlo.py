@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -15,7 +15,10 @@ from pdlsic.equalize import StreamScheme, closed_form_stream_snr
 from pdlsic.montecarlo import (
     Scheme,
     SimConfig,
+    _block_draws,
     _block_params,
+    _jackknife_ratio,
+    _StageSums,
     pam_order,
     run,
     ser_pam_awgn,
@@ -106,6 +109,14 @@ class TestConfig:
         data["trials"] = 2000.0
         assert SimConfig.from_dict(data).trials == 2000
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            config(seed=-1)
+        data = config().as_dict()
+        data["seed"] = -3
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig.from_dict(data)
+
     def test_from_dict_missing_field(self):
         with pytest.raises(ValueError, match="scheme"):
             SimConfig.from_dict(
@@ -167,6 +178,162 @@ class TestChunking:
         default = run(cfg).to_json()
         monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", bound)
         assert run(cfg).to_json() == default
+
+
+def per_block_jackknife(num, den):
+    """The textbook leave-one-block-out estimate and standard error of sum(num)/sum(den)."""
+    b = num.shape[0]
+    estimate = num.sum(axis=0) / den.sum(axis=0)
+    if b < 2:
+        return estimate, None
+    loo = (num.sum(axis=0) - num) / (den.sum(axis=0) - den)
+    return estimate, np.sqrt((b - 1) / b * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+
+
+def feed(sums, u, z, sizes):
+    """Add the full blocks of ``u``/``z`` to ``sums`` in chunks of ``sizes``, then the rest."""
+    start = 0
+    for size in sizes:
+        sums.add(start, u[start:start + size], z[start:start + size])
+        start += size
+    return start
+
+
+class TestStreamedSums:
+    @staticmethod
+    def blocks(seed, full, block, ragged, n):
+        """Per-block signals and noise with nonzero means, the ragged block last."""
+        rng = np.random.default_rng(seed)
+        full_blocks = [1.5 + rng.standard_normal((full, n, block)),
+                       -0.5 + 2.0 * rng.standard_normal((full, n, block))]
+        ragged_blocks = [1.5 + rng.standard_normal((1, n, ragged)),
+                         -0.5 + 2.0 * rng.standard_normal((1, n, ragged))]
+        return full_blocks, ragged_blocks
+
+    @settings(deadline=None, max_examples=60)
+    @given(full=st.integers(0, 12), block=st.integers(1, 6), ragged=st.integers(0, 5),
+           n=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(full=2, block=3, ragged=0, n=2, seed=1, data=None)  # B = 2
+    @example(full=3, block=4, ragged=2, n=4, seed=2, data=None)  # a ragged last block
+    @example(full=1, block=4, ragged=0, n=2, seed=3, data=None)  # a single block
+    @example(full=0, block=4, ragged=3, n=2, seed=4, data=None)  # a single, ragged block
+    def test_matches_the_per_block_formula(self, full, block, ragged, n, seed, data):
+        ragged %= block
+        if full == 0 and ragged == 0:  # at least one block
+            full = 1
+        cfg = config(trials=full * block + ragged, block_size=block)
+        (u, z), (ur, zr) = self.blocks(seed, full, block, ragged, n)
+        sizes = []
+        while sum(sizes) < full:
+            draw = data.draw(st.integers(1, full)) if data is not None else 2
+            sizes.append(min(draw, full - sum(sizes)))
+        sums = _StageSums(cfg, n)
+        feed(sums, u, z, sizes)
+        if ragged:
+            sums.add(full, ur, zr)
+        stats = sums.stats()
+
+        blocks = [np.concatenate(pair, axis=1) for pair in ((u, z),) + (((ur, zr),) if ragged else ())]
+        grams = np.concatenate([x @ x.swapaxes(1, 2) for x in blocks])
+        counts = np.array([block] * full + [ragged] * bool(ragged), dtype=float)
+        mean, se = per_block_jackknife(grams, counts[:, None, None])
+        quadrants = (slice(None, n), slice(None, n)), (slice(None, n), slice(n, None)), \
+            (slice(n, None), slice(n, None))
+        diag = np.arange(2 * n)
+        snr, snr_se = per_block_jackknife(grams[:, diag[:n], diag[:n]], grams[:, diag[n:], diag[n:]])
+        for name, q in zip(("uu", "uz", "zz"), quadrants):
+            np.testing.assert_allclose(getattr(stats, f"k_{name}"), mean[q], rtol=1e-12)
+            got = getattr(stats, f"k_{name}_stderr")
+            if se is None:
+                assert got is None
+            else:
+                np.testing.assert_allclose(got, se[q], rtol=1e-12)
+        np.testing.assert_allclose(stats.snr_per_stream, snr, rtol=1e-12)
+        if snr_se is None:
+            assert stats.snr_stderr is None
+        else:
+            np.testing.assert_allclose(stats.snr_stderr, snr_se, rtol=1e-12)
+            np.testing.assert_allclose(_jackknife_ratio(grams[:, diag[:n], diag[:n]],
+                                                        grams[:, diag[n:], diag[n:]])[1],
+                                       snr_se, rtol=1e-12)
+
+    @settings(deadline=None, max_examples=30)
+    @given(full=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_chunking_changes_no_bit(self, full, seed, data):
+        cfg = config(trials=5 * full, block_size=5)
+        (u, z), _ = self.blocks(seed, full, 5, 0, 4)
+
+        def stats(sizes):
+            sums = _StageSums(cfg, 4)
+            assert feed(sums, u, z, sizes) == full
+            return sums.stats()
+
+        cuts = sorted(data.draw(st.sets(st.integers(1, full - 1), max_size=full - 1)))
+        split = stats(np.diff([0, *cuts, full]))
+        whole = stats([full])
+        for field in ("k_uu", "k_uz", "k_zz", "k_uu_stderr", "k_uz_stderr", "k_zz_stderr",
+                      "snr_per_stream", "snr_stderr"):
+            assert np.array_equal(getattr(split, field), getattr(whole, field))
+
+
+class TestStreams:
+    @pytest.mark.parametrize("constellation", ["Gaussian", "PAM(4)"])
+    @pytest.mark.parametrize("trials, block_size", [(2003, 10), (700, 1000), (60, 3)])
+    def test_block_b_reads_segment_b_of_each_stream(self, monkeypatch, constellation,
+                                                    trials, block_size):
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 300)
+        cfg = config(model=Model.COMPLEX, trials=trials, block_size=block_size,
+                     constellation=constellation)
+        n = 8
+
+        def blocks_root():  # spawn counts its children, so each use needs a fresh one
+            return np.random.SeedSequence(cfg.seed).spawn(2)[1]
+
+        noise_seed, symbol_seed = blocks_root().spawn(2)
+        noise = np.random.default_rng(noise_seed)
+        if constellation == "Gaussian":
+            stream = noise.standard_normal(2 * n * trials)
+        else:
+            stream = noise.standard_normal(n * trials)
+            symbols = np.random.default_rng(symbol_seed).integers(0, 4, n * trials)
+        offset = 0
+        blocks = 0
+        for start, stop, u, idx, z in _block_draws(cfg, blocks_root(), n):
+            for c in range(stop - start):
+                t = u.shape[-1]
+                if constellation == "Gaussian":
+                    segment = stream[2 * n * offset:2 * n * (offset + t)].reshape(2 * n, t)
+                    assert np.array_equal(u[c], math.sqrt(cfg.snr.snr_linear) * segment[:n])
+                    assert np.array_equal(z[c], segment[n:])
+                    assert idx is None
+                else:
+                    assert np.array_equal(z[c], stream[n * offset:n * (offset + t)].reshape(n, t))
+                    assert np.array_equal(idx[c], symbols[n * offset:n * (offset + t)].reshape(n, t))
+                offset += t
+                blocks += 1
+        assert offset == trials and blocks == cfg.n_blocks
+
+
+class TestExtremeSnr:
+    @pytest.mark.parametrize("scheme, snr", [
+        *((scheme, snr) for scheme in (Scheme.ZF, Scheme.ZF_SIC, Scheme.NOPRECODE_ZF)
+          for snr in (1e-300, 1e300)),
+        (Scheme.LMMSE_SIC, 1e300),
+    ])
+    def test_standard_errors_are_finite_and_positive(self, scheme, snr):
+        rep = run(config(model=Model.COMPLEX, scheme=scheme, snr=SnrSpec(snr),
+                         trials=200, block_size=10))
+
+        def refuse(token):
+            raise ValueError(f"report holds the non-standard JSON constant {token}")
+
+        payload = json.loads(rep.to_json(), parse_constant=refuse)
+        stderrs = [payload["snr_stderr"]] + [
+            stage[f"{name}_stderr"] for stage in payload["stages"]
+            for name in ("k_uu", "k_uz", "k_zz", "snr")
+        ]
+        values = np.concatenate([np.ravel(x) for x in stderrs])
+        assert np.all(np.isfinite(values)) and np.all(values > 0)
 
 
 class TestGaussianRuns:
