@@ -191,7 +191,7 @@ def per_block_jackknife(num, den):
 
 
 def feed(sums, u, z, sizes):
-    """Add the full blocks of ``u``/``z`` to ``sums`` in chunks of ``sizes``, then the rest."""
+    """Add the first blocks of ``u``/``z`` to ``sums`` in chunks of ``sizes``; return their count."""
     start = 0
     for size in sizes:
         sums.add(start, u[start:start + size], z[start:start + size])
@@ -233,15 +233,13 @@ class TestStreamedSums:
             sums.add(full, ur, zr)
         stats = sums.stats()
 
-        blocks = [np.concatenate(pair, axis=1) for pair in ((u, z),) + (((ur, zr),) if ragged else ())]
-        grams = np.concatenate([x @ x.swapaxes(1, 2) for x in blocks])
+        per_block = [np.concatenate((u, z), axis=1)] + [np.concatenate((ur, zr), axis=1)] * bool(ragged)
+        grams = np.concatenate([x @ x.swapaxes(1, 2) for x in per_block])
         counts = np.array([block] * full + [ragged] * bool(ragged), dtype=float)
         mean, se = per_block_jackknife(grams, counts[:, None, None])
-        quadrants = (slice(None, n), slice(None, n)), (slice(None, n), slice(n, None)), \
-            (slice(n, None), slice(n, None))
-        diag = np.arange(2 * n)
-        snr, snr_se = per_block_jackknife(grams[:, diag[:n], diag[:n]], grams[:, diag[n:], diag[n:]])
-        for name, q in zip(("uu", "uz", "zz"), quadrants):
+        diag = np.diagonal(grams, axis1=1, axis2=2)
+        snr, snr_se = per_block_jackknife(diag[:, :n], diag[:, n:])
+        for name, q in (("uu", np.s_[:n, :n]), ("uz", np.s_[:n, n:]), ("zz", np.s_[n:, n:])):
             np.testing.assert_allclose(getattr(stats, f"k_{name}"), mean[q], rtol=1e-12)
             got = getattr(stats, f"k_{name}_stderr")
             if se is None:
@@ -253,9 +251,8 @@ class TestStreamedSums:
             assert stats.snr_stderr is None
         else:
             np.testing.assert_allclose(stats.snr_stderr, snr_se, rtol=1e-12)
-            np.testing.assert_allclose(_jackknife_ratio(grams[:, diag[:n], diag[:n]],
-                                                        grams[:, diag[n:], diag[n:]])[1],
-                                       snr_se, rtol=1e-12)
+            np.testing.assert_allclose(_jackknife_ratio(diag[:, :n], diag[:, n:])[1], snr_se,
+                                       rtol=1e-12)
 
     @settings(deadline=None, max_examples=30)
     @given(full=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
