@@ -339,25 +339,25 @@ def _block_draws(config: SimConfig, blocks_root, n: int):
 class _StageSums:
     """Running sums of one stage's second moments over its blocks.
 
-    A block's moments are the Gram matrix ``[[u u^T, u z^T], [z u^T, z z^T]]``
-    of its signal u and noise z.  Over the full blocks (``block_size``
-    trials) three sums run: the Gram matrices, their deviations d from
-    block 0's, and d squared; the ragged last block is kept as a term of its
-    own.  With equal trial counts a full block's leave-one-out mean is linear
-    in its own Gram matrix, so these sums give the jackknife of k_uu, k_uz
-    and k_zz exactly, and Chan's pairwise update adds the ragged block.
-    Deviations are divided before squaring by block 0's Cauchy-Schwarz bound
-    sqrt(G_ii G_jj), so the standard errors neither overflow nor underflow
-    at extreme SNRs.  Each chunk is added row by row in block order, so the
-    sums do not depend on the chunking.  Only the stream signal and noise,
-    the diagonals of u u^T and z z^T, are kept per block: the SNR jackknife
-    is a ratio of block sums and needs them.
+    A block's moments are ``u u^T``, ``u z^T`` and ``z z^T`` of its signal u
+    and noise z.  Over the full blocks (``block_size`` trials) three sums
+    run: the moments, their deviations d from block 0's, and d squared; the
+    ragged last block is kept as a term of its own.  With equal trial counts
+    a full block's leave-one-out mean is linear in its own moments, so these
+    sums give the jackknife of k_uu, k_uz and k_zz exactly, and Chan's
+    pairwise update adds the ragged block.  Deviations of an entry of
+    ``a b^T`` are divided before squaring by block 0's Cauchy-Schwarz bound
+    sqrt(a_i a_i^T b_j b_j^T), so the standard errors neither overflow nor
+    underflow at extreme SNRs.  Each chunk is added row by row in block
+    order, so the sums do not depend on the chunking.  Only the stream
+    signal and noise, the diagonals of u u^T and z z^T, are kept per block:
+    the SNR jackknife is a ratio of block sums and needs them.
     """
 
     def __init__(self, config: SimConfig, n: int):
         self.block_size = config.block_size
         self.full = 0
-        self.sums = np.zeros((3, 2 * n, 2 * n))
+        self.sums = np.zeros((3, 3, n, n))  # (moments, deviations, squares) of (uu, uz, zz)
         self.shift = self.scale = self.ragged = None
         self.ragged_trials = 0
         self.signal = np.empty((config.n_blocks, n))
@@ -365,22 +365,27 @@ class _StageSums:
 
     def add(self, start: int, u: np.ndarray, z: np.ndarray) -> None:
         """Add blocks ``start, start + 1, ...`` of signal ``u`` and noise ``z``, each ``(C, n, T)``."""
-        uz = np.concatenate((u, z), axis=1)
         count, n, trials = u.shape
         rows = np.empty((count + 1,) + self.sums.shape)
         rows[0] = self.sums
-        gram = np.matmul(uz, uz.swapaxes(1, 2), out=rows[1:, 0])
-        diag = np.diagonal(gram, axis1=1, axis2=2)
-        self.signal[start:start + count] = diag[:, :n]
-        self.noise[start:start + count] = diag[:, n:]
+        moments = rows[1:, 0]
+        np.matmul(u, u.swapaxes(1, 2), out=moments[:, 0])
+        np.matmul(u, z.swapaxes(1, 2), out=moments[:, 1])
+        np.matmul(z, z.swapaxes(1, 2), out=moments[:, 2])
+        signal = np.diagonal(moments[:, 0], axis1=1, axis2=2)
+        noise = np.diagonal(moments[:, 2], axis1=1, axis2=2)
+        self.signal[start:start + count] = signal
+        self.noise[start:start + count] = noise
         if trials < self.block_size:  # the ragged last block, a chunk of its own
-            self.ragged, self.ragged_trials = gram[0].copy(), trials
+            self.ragged, self.ragged_trials = moments[0].copy(), trials
             return
         if self.shift is None:
-            root = np.sqrt(diag[0])
+            root = np.sqrt(np.concatenate((signal[0], noise[0])))
             root[root == 0.0] = 1.0
-            self.shift, self.scale = gram[0].copy(), np.outer(root, root)
-        dev = np.subtract(gram, self.shift, out=rows[1:, 1])
+            su, sz = root[:n], root[n:]
+            self.shift = moments[0].copy()
+            self.scale = np.array([np.outer(su, su), np.outer(su, sz), np.outer(sz, sz)])
+        dev = np.subtract(moments, self.shift, out=rows[1:, 1])
         dev /= self.scale
         np.square(dev, out=rows[1:, 2])
         self.sums = np.add.reduce(rows, axis=0)  # along the slow axis: row by row, in order
@@ -393,10 +398,10 @@ class _StageSums:
         if self.ragged is not None:
             total, n_trials = total + self.ragged, n_trials + self.ragged_trials
         blocks = f + (self.ragged is not None)
-        stderr = None
+        stderr = (None,) * 3
         if blocks > 1:
             # the full blocks' leave-one-out means deviate from their mean
-            # by -(G_b - mean G)/(N - t)
+            # by -(M_b - mean M)/(N - t)
             _, dev, dev2 = self.sums
             m2 = np.maximum(dev2 - dev * dev / f, 0.0) / float(n_trials - t) ** 2
             if self.ragged is not None:
@@ -404,27 +409,37 @@ class _StageSums:
                        - (total - self.ragged) / (n_trials - self.ragged_trials))
                 m2 += f / (f + 1.0) * (gap / self.scale) ** 2
             stderr = self.scale * np.sqrt((blocks - 1) / blocks * m2)
-        n = self.signal.shape[1]
-
-        def moments(g):  # u u^T, u z^T, z z^T
-            return (None,) * 3 if g is None else (g[:n, :n], g[:n, n:], g[n:, n:])
-
         snr, snr_se = _jackknife_ratio(self.signal, self.noise)
-        return EmpiricalStats(*moments(total / n_trials), *moments(stderr), snr, snr_se)
+        return EmpiricalStats(*(total / n_trials), *stderr, snr, snr_se)
+
+
+def _channels(config: SimConfig, params: ChannelParams, precoder, blocks: range):
+    """The channel H, first-stage equalizer E and diag(E @ H) of the given blocks."""
+    phi = None if params.phi is None else params.phi[blocks.start:blocks.stop]
+    chunk = ChannelParams(params.gamma[blocks.start:blocks.stop],
+                          params.theta[blocks.start:blocks.stop], phi)
+    if precoder is None:
+        h = channel_matrix(chunk)
+        e = np.linalg.inv(h)
+    else:
+        eff = effective_channel(chunk, precoder, config.snr)
+        h, e = eff.matrix, first_stage_equalizer(eff, config.scheme.first_stage)
+    return h, e, np.diagonal(e @ h, axis1=-2, axis2=-1)[..., None]
 
 
 def _simulate_blocks(config: SimConfig, params: ChannelParams, blocks_root):
     """The running sums of each stage and, for PAM, the symbol error totals.
 
-    The precoder is built once.  Per chunk of blocks, the channel H, the
-    first-stage equalizer E and diag(E @ H) are built from the chunk's
-    parameters, the symbols and noise come from :func:`_block_draws`, and
-    the channel output, equalization, moment products, cancellation and
-    PAM slicing are stacked calls, bitwise equal to the same call per
-    block.  Only the stage sums of :class:`_StageSums` outlive a chunk.
-    A stage has n streams (n/2 in stage 2).  Errors are None or ``(2, n)``
-    totals: genie, then decision-directed cancellation (the same without
-    SIC).
+    The precoder is built once.  The channels and equalizers are built by
+    :func:`_channels` for runs of whole chunks of blocks, as many chunks as
+    keep the ``(blocks, n, n)`` arrays within CHUNK_ELEMENTS (at least one),
+    so that long blocks, one to a chunk, do not cost one build each.  Per
+    chunk, the symbols and noise come from :func:`_block_draws`, and the
+    channel output, equalization, moment products, cancellation and PAM
+    slicing are stacked calls, bitwise equal to the same call per block.
+    Only the stage sums of :class:`_StageSums` outlive a chunk.  A stage has
+    n streams (n/2 in stage 2).  Errors are None or ``(2, n)`` totals:
+    genie, then decision-directed cancellation (the same without SIC).
     """
     scheme = config.scheme
     precoder = universal_precoder(config.model) if scheme.uses_precoder else None
@@ -438,16 +453,13 @@ def _simulate_blocks(config: SimConfig, params: ChannelParams, blocks_root):
     def errors_of(estimates, idx):
         return (_pam_slice(estimates, delta, order) != idx).sum(axis=(0, 2))
 
+    built, channels = range(0), None
     for start, stop, u, idx, z in _block_draws(config, blocks_root, n):
-        phi = None if params.phi is None else params.phi[start:stop]
-        chunk = ChannelParams(params.gamma[start:stop], params.theta[start:stop], phi)
-        if precoder is None:
-            h = channel_matrix(chunk)
-            e = np.linalg.inv(h)
-        else:
-            eff = effective_channel(chunk, precoder, config.snr)
-            h, e = eff.matrix, first_stage_equalizer(eff, scheme.first_stage)
-        lam = np.diagonal(e @ h, axis1=-2, axis2=-1)[..., None]
+        if stop > built.stop:
+            span = (stop - start) * max(1, CHUNK_ELEMENTS // (n * n * (stop - start)))
+            built = range(start, min(start + span, config.n_blocks))
+            channels = _channels(config, params, precoder, built)
+        h, e, lam = (a[start - built.start:stop - built.start] for a in channels)
         y = h @ u + z
         ey = e @ y
         u_tilde = lam * u

@@ -179,6 +179,22 @@ class TestChunking:
         monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", bound)
         assert run(cfg).to_json() == default
 
+    def test_long_blocks_share_channel_builds(self, monkeypatch):
+        # 1000-trial blocks are one to a chunk; their channels are built for
+        # as many chunks as CHUNK_ELEMENTS holds (n x n entries each), the
+        # ragged last block included
+        cfg = config(model=Model.COMPLEX, trials=5500, block_size=1000, report_blocks=True)
+        built = []
+        channels = montecarlo._channels
+        monkeypatch.setattr(montecarlo, "_channels",
+                            lambda *args: built.append(args[-1]) or channels(*args))
+        default = run(cfg).to_json()
+        assert built == [range(0, 6)]
+        built.clear()
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 4 * 64)
+        assert run(cfg).to_json() == default
+        assert built == [range(0, 4), range(4, 6)]
+
 
 def per_block_jackknife(num, den):
     """The textbook leave-one-block-out estimate and standard error of sum(num)/sum(den)."""
