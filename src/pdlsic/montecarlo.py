@@ -8,11 +8,12 @@ streams of the run, noise (child 0) and PAM symbols (child 1).  Each stream
 is drawn block-major, one call per chunk of blocks, so block b reads the
 b-th segment of each stream whatever the chunk size; Gaussian symbols share
 the noise stream, the first n rows of each block's ``(2n, trials)`` segment.
-The channels and equalizers are built per chunk, the arithmetic runs
-stacked over the chunk, and each stage's moments are reduced to running
-sums in block order, so a report is byte-identical for a fixed config and
-independent of the chunk size.  (This stream layout replaced one seed per
-block in one change; reports for a given seed changed then, once.)
+The channels and equalizers are built for runs of whole chunks, the
+arithmetic runs stacked over each chunk, and each stage's moments are
+reduced to running sums in block order, so a report is byte-identical for
+a fixed config and independent of the chunk size.  (This stream layout
+replaced one seed per block in one change; reports for a given seed
+changed then, once.)
 Standard errors come from a per-block jackknife, which respects block
 correlation without distributional assumptions; the jackknife of the
 second moments runs on the sums, and only the stream signal and noise of
@@ -56,7 +57,9 @@ from .precode import effective_channel, universal_precoder
 #: Elements per chunk array of the per-block symbols or noise (a Gaussian
 #: draw of both is twice that): blocks of equal length are simulated C at a
 #: time, with C the largest count within this bound (at least one).  The
-#: bound keeps the arrays small; the report does not depend on it.
+#: channels of as many whole chunks as keep their ``(blocks, n, n)`` arrays
+#: within the bound are built in one call.  The bound keeps the arrays
+#: small; the report does not depend on it.
 CHUNK_ELEMENTS = 2**12
 
 _PAM_PATTERN = re.compile(r"^PAM\((\d+)\)$")
