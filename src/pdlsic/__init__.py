@@ -3,7 +3,7 @@
 The toolkit covers the full chain: the compound channel class and its
 matrices (:mod:`~pdlsic.channel`), the universal orthogonal precoders and
 effective-channel structure (:mod:`~pdlsic.precode`), exact equalization
-statistics with the two-stage cancellation pipeline
+statistics with the two stages of interference cancellation
 (:mod:`~pdlsic.equalize`), closed-form capacities with brute-force oracles
 (:mod:`~pdlsic.capacity`), Monte Carlo certification
 (:mod:`~pdlsic.montecarlo`), and link-budget composition from external FER
@@ -42,7 +42,6 @@ from .channel import (
     validate_alpha,
 )
 from .equalize import (
-    SicResult,
     SingularChannelError,
     StreamScheme,
     StreamStats,
@@ -52,7 +51,6 @@ from .equalize import (
     lmmse_equalizer,
     post_sic_streams,
     second_stage_statistics,
-    sic_pipeline,
     stream_statistics,
     zf_equalizer,
 )

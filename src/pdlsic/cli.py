@@ -333,10 +333,9 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.config}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):  # from_dict refuses a non-object
         raw["seed"] = args.seed
-    config = montecarlo.SimConfig.from_dict(raw)
-    report = montecarlo.run(config)
+    report = montecarlo.run(montecarlo.SimConfig.from_dict(raw))
     _emit([report.to_json() + "\n"], args.out)
     return EXIT_OK
 

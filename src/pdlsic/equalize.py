@@ -1,4 +1,4 @@
-"""Linear equalization statistics and the two-stage interference cancellation pipeline.
+"""Linear equalization statistics and the two stages of interference cancellation (SIC).
 
 For an effective channel Y = H U + Z with E[U U^T] = SNR*I and Z white unit
 Gaussian, any equalizer E splits E@H into its diagonal Lambda plus remainder
@@ -11,13 +11,13 @@ F, giving the exact second-order statistics
 with zero per-stream signal-noise correlation by construction, so stream i
 is an additive-noise channel of SNR (K_UU)_ii / (K_ZZ)_ii.
 
-The SIC pipeline decodes the first stream group, subtracts its contribution
-through H1, and matched-filters the remainder with H2^T.  Because H2 has
-orthonormal columns for every channel realization under the universal
-precoders, the second stage is exactly white with per-stream SNR equal to
-the channel SNR.  Cancellation here is genie-aided (the rate claims are
-conditioned on correct first-group decoding); the Monte Carlo experiments
-reuse :func:`cancel_first_group` for decision-directed cancellation too.
+SIC has a ZF or LMMSE first stage (:func:`first_stage_equalizer`); then
+:func:`cancel_first_group` subtracts the first stream group through H1 and
+matched-filters the rest with H2^T.  Under the universal precoders H2 has
+orthonormal columns, so this stage (:func:`second_stage_statistics`) is
+exactly white at the channel SNR; :func:`post_sic_streams` joins the two
+stages' streams.  Rate claims assume correct first-group decoding (genie
+cancellation); the Monte Carlo runs also cancel decided symbols.
 
 Equalizers, statistics and closed forms act on the last two axes, so a
 stacked effective channel gives stacked results.
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import c_awgn
 from .channel import SnrSpec
 from .precode import EffectiveChannel
 
@@ -139,48 +138,6 @@ def post_sic_streams(first_stage: np.ndarray, second_stage: np.ndarray) -> np.nd
     """Per-stream values under SIC: the first group from stage 1, the rest from stage 2."""
     k = np.shape(second_stage)[-1]
     return np.concatenate([first_stage[..., :k], second_stage], axis=-1)
-
-
-@dataclass(frozen=True)
-class SicResult:
-    """Two-stage pipeline output: statistics per stage plus the equalized remainder."""
-
-    first_stage: StreamStats
-    second_stage: StreamStats
-    second_stage_output: np.ndarray
-    achievable_rate_bits_per_real_dim: float
-
-
-def sic_pipeline(
-    effective: EffectiveChannel,
-    first_stage: StreamScheme,
-    first_half_symbols: np.ndarray,
-    received: np.ndarray,
-) -> SicResult:
-    """Cancel the first stream group and matched-filter the remainder.
-
-    ``first_half_symbols`` are the true (genie) or decoded values of the
-    first group; ``received`` is Y.  Both may carry a trailing batch axis.
-    Returns H2^T (Y - H1 @ u_first) along with exact statistics for both
-    stages; the achievable rate averages C(SNR_i) over all streams.
-    """
-    first_stats = stream_statistics(effective, first_stage_equalizer(effective, first_stage))
-
-    k = effective.n_streams // 2
-    u_first = np.asarray(first_half_symbols, float)
-    y = np.asarray(received, float)
-    if u_first.shape[0] != k:
-        raise ValueError(f"first_half_symbols must have {k} rows, got {u_first.shape[0]}")
-    if y.shape[0] != effective.matrix.shape[0]:
-        raise ValueError(
-            f"received must have {effective.matrix.shape[0]} rows, got {y.shape[0]}"
-        )
-    y_hat = cancel_first_group(effective.matrix, u_first, y)
-
-    second_stats = second_stage_statistics(effective)
-    snrs = post_sic_streams(first_stats.snr_per_stream, second_stats.snr_per_stream)
-    rate = float(np.mean(c_awgn(snrs)))
-    return SicResult(first_stats, second_stats, y_hat, rate)
 
 
 def closed_form_stream_snr(scheme: StreamScheme, gamma, snr: SnrSpec):

@@ -159,6 +159,8 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r:.40}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"config has unknown fields {unknown}")
@@ -267,18 +269,25 @@ class SimReport:
         def fields_of(obj):
             return {f.name: arr(getattr(obj, f.name)) for f in fields(obj)}
 
+        ser = None if self.ser is None else fields_of(self.ser)
+        if ser and ser["dd_over_genie"]:  # undefined, so null, where there are no genie errors
+            ser["dd_over_genie"] = [None if math.isnan(r) else r for r in ser["dd_over_genie"]]
         return {
             "config": self.config.as_dict(),
             "stages": [fields_of(st) for st in self.stages],
             "snr_per_stream": arr(self.snr_per_stream),
             "snr_stderr": arr(self.snr_stderr),
             "rate_bits_per_real_dim": self.rate_bits_per_real_dim,
-            "ser": None if self.ser is None else fields_of(self.ser),
+            "ser": ser,
             "block_snrs": arr(self.block_snrs),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        try:  # strict JSON: NaN and infinity raise
+            return json.dumps(self.as_dict(), indent=2, allow_nan=False)
+        except ValueError:
+            raise ValueError(f"the report at SNR {self.config.snr.snr_linear:g} holds a "
+                             "non-finite number: its statistics over- or underflow") from None
 
 
 def _block_params(config: SimConfig, seed) -> ChannelParams:
@@ -423,6 +432,7 @@ def _channels(config: SimConfig, params: ChannelParams, precoder, blocks: range)
                           params.theta[blocks.start:blocks.stop], phi)
     if precoder is None:
         h = channel_matrix(chunk)
+        # unguarded: |g| < 1 gives cond(h) = sqrt((1+|g|)/(1-|g|)) <= 1.4e8 < CONDITION_LIMIT
         e = np.linalg.inv(h)
     else:
         eff = effective_channel(chunk, precoder, config.snr)

@@ -467,6 +467,57 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["no-flag", "seed-flag"])
+    @pytest.mark.parametrize("body", ["null", "42", "[1, 2]", '"abc"'])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, body, seed):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(body)
+        code, out, err = run_cli(["simulate", "--config", str(cfg_path), *seed], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "JSON object" in err
+
+    def test_pam_stream_without_genie_errors_writes_null_ratio(self, tmp_path, capsys):
+        # at SNR 1000 the second-stage PAM(2) streams make no genie errors, so
+        # their decision-directed over genie ratio is undefined
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({
+            "model": "Real", "alpha": 0.599, "snr": {"snr_linear": 1000},
+            "param_mode": "WorstCaseEdge", "scheme": "ZF-SIC", "trials": 2000, "seed": 42,
+            "constellation": "PAM(2)", "block_size": 10,
+        }))
+        code, out, _ = run_cli(["simulate", "--config", str(cfg_path)], capsys)
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"report holds the non-standard JSON constant {token}")
+
+        ser = json.loads(out, parse_constant=refuse)["ser"]
+        assert ser["ser_genie"][2:] == [0.0, 0.0]
+        assert ser["dd_over_genie"] == [None, None]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model, scheme, snr, trials, block_size, shown", [
+        ("ComplexEquivalent", "LMMSE-SIC", 1e-200, 200, 10, "1e-200"),
+        ("Real", "ZF-SIC", 1e306, 2000, 1000, "1e+306"),
+    ], ids=["underflow", "overflow"])
+    def test_non_finite_report_is_usage_error(
+        self, tmp_path, capsys, model, scheme, snr, trials, block_size, shown
+    ):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({
+            "model": model, "alpha": 0.599, "snr": {"snr_linear": snr},
+            "param_mode": "WorstCaseEdge", "scheme": scheme, "trials": trials, "seed": 42,
+            "block_size": block_size,
+        }))
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["simulate", "--config", str(cfg_path), "--out", str(out_path)], capsys
+        )
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err.startswith("error: ") and "non-finite" in err and f"SNR {shown}" in err
+
     def test_bundled_example_config_parses(self, tmp_path, capsys):
         # the shipped config at configs/lmmse_sic_6db.json, scaled down
         import pathlib

@@ -1,4 +1,4 @@
-"""Equalizer constructions, exact stream statistics, and the SIC pipeline."""
+"""Equalizer constructions, exact stream statistics, and the two SIC stages."""
 
 import math
 
@@ -10,10 +10,12 @@ from pdlsic.channel import ChannelParams, Model, SnrSpec
 from pdlsic.equalize import (
     SingularChannelError,
     StreamScheme,
+    cancel_first_group,
     closed_form_stream_snr,
+    first_stage_equalizer,
     lmmse_equalizer,
+    post_sic_streams,
     second_stage_statistics,
-    sic_pipeline,
     stream_statistics,
     zf_equalizer,
 )
@@ -181,17 +183,22 @@ class TestStreamStatistics:
             stream_statistics(eff, np.eye(6))
 
 
-class TestSicPipeline:
+class TestSic:
     def test_cancellation_algebra(self):
         # with explicit symbols and noise, the second stage output must be
-        # exactly U_second + H2^T Z
+        # exactly U_second + H2^T Z, for one channel and for a stack of them
         rng = np.random.default_rng(4)
-        eff = effective_channel(random_params(rng, Model.COMPLEX), precoder_complex(), SNR)
-        u = math.sqrt(SNR.snr_linear) * rng.standard_normal((8, 16))
-        z = rng.standard_normal((8, 16))
-        y = eff.matrix @ u + z
-        result = sic_pipeline(eff, StreamScheme.LMMSE, u[:4], y)
-        assert np.abs(result.second_stage_output - (u[4:] + eff.h2.T @ z)).max() < 1e-10
+        effs = [effective_channel(random_params(rng, Model.COMPLEX), precoder_complex(), SNR)
+                for _ in range(3)]
+        h = np.stack([eff.matrix for eff in effs])
+        u = math.sqrt(SNR.snr_linear) * rng.standard_normal((3, 8, 16))
+        z = rng.standard_normal((3, 8, 16))
+        y = h @ u + z
+        expect = u[:, 4:] + h[:, :, 4:].swapaxes(1, 2) @ z
+        assert np.abs(cancel_first_group(h, u[:, :4], y) - expect).max() < 1e-10
+        for b, eff in enumerate(effs):
+            single = cancel_first_group(eff.matrix, u[b, :4], y[b])
+            assert np.abs(single - (u[b, 4:] + eff.h2.T @ z[b])).max() < 1e-10
 
     def test_second_stage_exactly_white(self):
         rng = np.random.default_rng(5)
@@ -199,24 +206,22 @@ class TestSicPipeline:
             for _ in range(200):
                 eff = effective_channel(random_params(rng, model), universal_precoder(model), SNR)
                 k = eff.n_streams // 2
-                res = sic_pipeline(
-                    eff, StreamScheme.ZF, np.zeros(k), np.zeros(eff.n_streams)
-                )
-                assert np.abs(res.second_stage.k_zz - np.eye(k)).max() < 1e-10
-                assert np.abs(res.second_stage.k_uz).max() < 1e-12
-                assert np.allclose(res.second_stage.snr_per_stream, SNR.snr_linear, rtol=1e-10)
+                second = second_stage_statistics(eff)
+                assert np.abs(second.k_zz - np.eye(k)).max() < 1e-10
+                assert np.abs(second.k_uz).max() < 1e-12
+                assert np.allclose(second.snr_per_stream, SNR.snr_linear, rtol=1e-10)
 
     def test_no_pdl_means_no_loss(self):
         eff = effective_channel(ChannelParams(0.0, 0.7), precoder_real(), SNR)
-        res = sic_pipeline(eff, StreamScheme.ZF, np.zeros(2), np.zeros(4))
-        assert np.allclose(res.first_stage.snr_per_stream, SNR.snr_linear, rtol=1e-10)
+        stats = stream_statistics(eff, zf_equalizer(eff))
+        assert np.allclose(stats.snr_per_stream, SNR.snr_linear, rtol=1e-10)
 
     def test_first_stage_zf_worst_case(self):
         alpha = 0.599
         eff = effective_channel(ChannelParams(alpha, 1.1), precoder_real(), SNR)
-        res = sic_pipeline(eff, StreamScheme.ZF, np.zeros(2), np.zeros(4))
+        stats = stream_statistics(eff, zf_equalizer(eff))
         floor = (1 - alpha**2) * 20.0
-        assert np.allclose(res.first_stage.snr_per_stream, floor, rtol=1e-10)
+        assert np.allclose(stats.snr_per_stream, floor, rtol=1e-10)
         assert floor == pytest.approx(12.824, abs=1e-3)
 
     def test_lmmse_sic_rate_equals_compound_capacity(self):
@@ -225,10 +230,18 @@ class TestSicPipeline:
                 eff = effective_channel(
                     ChannelParams(alpha, 0.77), precoder_real(), SnrSpec(s)
                 )
-                res = sic_pipeline(eff, StreamScheme.LMMSE, np.zeros(2), np.zeros(4))
-                assert res.achievable_rate_bits_per_real_dim == pytest.approx(
+                first = stream_statistics(eff, first_stage_equalizer(eff, StreamScheme.LMMSE))
+                snrs = post_sic_streams(
+                    first.snr_per_stream, second_stage_statistics(eff).snr_per_stream
+                )
+                assert float(np.mean(c_awgn(snrs))) == pytest.approx(
                     float(c_compound(alpha, s)), abs=1e-12
                 )
+
+    def test_post_sic_is_not_a_first_stage(self):
+        eff = effective_channel(ChannelParams(0.2, 0.1), precoder_real(), SNR)
+        with pytest.raises(ValueError, match="ZF or LMMSE"):
+            first_stage_equalizer(eff, StreamScheme.POST_SIC)
 
     def test_matched_filter_second_stage_is_lmmse(self):
         # the post-cancellation channel has orthonormal columns, so H2^T and
@@ -244,15 +257,6 @@ class TestSicPipeline:
             mf = second_stage_statistics(eff)
             lm = _statistics(h2, e_lmmse, s)
             assert np.allclose(mf.snr_per_stream, lm.snr_per_stream, rtol=1e-10)
-
-    def test_dimension_checks(self):
-        eff = effective_channel(ChannelParams(0.2, 0.1), precoder_real(), SNR)
-        with pytest.raises(ValueError):
-            sic_pipeline(eff, StreamScheme.ZF, np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError):
-            sic_pipeline(eff, StreamScheme.ZF, np.zeros(2), np.zeros(5))
-        with pytest.raises(ValueError):
-            sic_pipeline(eff, StreamScheme.POST_SIC, np.zeros(2), np.zeros(4))
 
 
 class TestClosedForms:
