@@ -32,7 +32,6 @@ import re
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erfc
 
 from .capacity import c_awgn
 from .channel import (
@@ -108,9 +107,12 @@ def pam_order(constellation: str) -> int | None:
 
 
 def ser_pam_awgn(order: int, snr: float) -> float:
-    """Symbol error rate of uniform PAM on a unit-noise AWGN channel at the given SNR."""
+    """Symbol error rate of uniform PAM on a unit-noise AWGN channel at the given SNR.
+
+    The Gaussian tail comes from the standard library's ``math.erfc``.
+    """
     arg = math.sqrt(3.0 * snr / (order**2 - 1.0))
-    q = 0.5 * erfc(arg / math.sqrt(2.0))
+    q = 0.5 * math.erfc(arg / math.sqrt(2.0))
     return 2.0 * (1.0 - 1.0 / order) * q
 
 

@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -459,6 +461,24 @@ class TestSerExperiments:
                 d = math.sqrt(3.0 * snr / (order**2 - 1))
                 expect = 2.0 * (1.0 - 1.0 / order) * norm.sf(d)
                 assert ser_pam_awgn(order, snr) == pytest.approx(expect, rel=1e-12)
+
+    def test_theory_within_two_eps_of_mpmath(self):
+        # 50-digit erfc at the float argument ser_pam_awgn forms, wherever
+        # the float SER is normal; the scale 2(1 - 1/order) is exact
+        eps = np.finfo(float).eps
+        checked = 0
+        for order in (2, 4, 8):
+            for snr in np.geomspace(0.1, 1e4, 400).tolist():
+                got = ser_pam_awgn(order, snr)
+                if got < sys.float_info.min:
+                    continue
+                x = math.sqrt(3.0 * snr / (order**2 - 1.0)) / math.sqrt(2.0)
+                with mpmath.workdps(50):
+                    expect = (1 - mpmath.mpf(1) / order) * mpmath.erfc(mpmath.mpf(x))
+                    rel = float(abs(mpmath.mpf(got) - expect) / expect)
+                assert rel <= 2.0 * eps, (order, snr, rel / eps)
+                checked += 1
+        assert checked > 1000
 
     def test_pdl_free_bpsk(self):
         # PAM(2) at SER ~ 1e-2: SNR = (Q^-1(1e-2))^2

@@ -1,9 +1,13 @@
-"""The documented and traced surface of pdlsic: README examples run, tracer names resolve."""
+"""The documented and traced surface of pdlsic: README examples run, tracer names resolve,
+the command line starts without scipy."""
 
 import importlib
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -33,3 +37,16 @@ def test_tracer_spans_resolve():
             assert hasattr(owner, part), f"pdlsic.{module_name} has no {attr}"
             owner = getattr(owner, part)
         assert callable(owner)
+
+
+def test_cli_cold_start_loads_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter that builds the
+    # command-line parser must not import any of it
+    probe = (
+        "import sys, pdlsic, pdlsic.cli; pdlsic.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
