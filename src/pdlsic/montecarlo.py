@@ -376,11 +376,17 @@ class _StageSums:
         self.ragged_trials = 0
         self.signal = np.empty((config.n_blocks, n))
         self.noise = np.empty((config.n_blocks, n))
+        # Reused by every chunk: at n = 8 a chunk's rows pass 128 KiB, which
+        # glibc malloc serves by mmap, so a fresh array per chunk would be
+        # page-faulted in anew each time.
+        self.rows = np.empty((0,) + self.sums.shape)
 
     def add(self, start: int, u: np.ndarray, z: np.ndarray) -> None:
         """Add blocks ``start, start + 1, ...`` of signal ``u`` and noise ``z``, each ``(C, n, T)``."""
         count, n, trials = u.shape
-        rows = np.empty((count + 1,) + self.sums.shape)
+        if len(self.rows) <= count:
+            self.rows = np.empty((count + 1,) + self.sums.shape)
+        rows = self.rows[:count + 1]
         rows[0] = self.sums
         moments = rows[1:, 0]
         np.matmul(u, u.swapaxes(1, 2), out=moments[:, 0])
