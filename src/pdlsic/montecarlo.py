@@ -376,9 +376,9 @@ class _StageSums:
         self.ragged_trials = 0
         self.signal = np.empty((config.n_blocks, n))
         self.noise = np.empty((config.n_blocks, n))
-        # Reused by every chunk: at n = 8 a chunk's rows pass 128 KiB, which
-        # glibc malloc serves by mmap, so a fresh array per chunk would be
-        # page-faulted in anew each time.
+        # Reused by every chunk: a chunk's rows can pass 128 KiB (240 KiB for
+        # n = 8 and 10-trial blocks), which glibc malloc serves by mmap, so a
+        # fresh array per chunk would be page-faulted in anew each time.
         self.rows = np.empty((0,) + self.sums.shape)
 
     def add(self, start: int, u: np.ndarray, z: np.ndarray) -> None:
