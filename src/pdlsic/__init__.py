@@ -78,7 +78,6 @@ from .precode import (
     Precoder,
     effective_channel,
     identity_precoder,
-    interference_coupling,
     permute_columns,
     precoder_complex,
     precoder_real,

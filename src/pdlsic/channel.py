@@ -175,33 +175,24 @@ def channel_matrix(params: ChannelParams) -> np.ndarray:
 def draw_params(alpha: float, mode: SampleMode, model: Model, seed, count: int) -> ChannelParams:
     """``count`` random points with |gamma| <= alpha, as one array-valued ChannelParams.
 
-    The numbers are those of drawing point by point from ``default_rng(seed)``:
-    gamma by ``integers(0, 2)`` (WorstCaseEdge, sign of alpha) or
-    ``uniform(-alpha, alpha)`` (UniformInterior), then theta and phi by
-    ``uniform(0, 2*pi)``.  ``seed`` is an int or a SeedSequence; the
-    generator stays private, so drawing past the last point is harmless.
+    Both modes read one table ``u = default_rng(seed).random((count, 1 + A))``
+    with A = 1 angle (real) or 2 (complex), row i for point i.  Column 0 gives
+    gamma: ``-alpha`` where ``u < 0.5`` and ``+alpha`` elsewhere (WorstCaseEdge),
+    or ``-alpha + 2*alpha*u``, as ``uniform(-alpha, alpha)`` (UniformInterior).
+    Columns 1 and 2 give theta and phi as ``2*pi*u``.  ``seed`` is an int or a
+    SeedSequence; the generator is private, so drawing past the end is harmless.
     """
     validate_alpha(alpha)
-    n_angles = 2 if model is Model.COMPLEX else 1
-    rng = np.random.default_rng(seed)
-    if mode is SampleMode.UNIFORM_INTERIOR:
-        u = rng.random((count, 1 + n_angles))  # uniform(low, high) is low + (high - low) * random()
-        gamma = -alpha + 2.0 * alpha * u[:, 0]
-        angles = u[:, 1:]
-    elif mode is SampleMode.WORST_CASE_EDGE:
-        # integers(0, 2) is the top bit of a 32-bit half of a PCG64 word: the
-        # low half of a fresh word, then the buffered high half at the next
-        # call, while random() takes whole words as (word >> 11) * 2**-53.  So
-        # each pair of points reads one word for both signs, then the angles
-        # of the first point and of the second.
-        words = rng.bit_generator.random_raw((-(-count // 2), 1 + 2 * n_angles))
-        top_bits = np.stack([words[:, 0] >> 31 & 1, words[:, 0] >> 63], axis=1).reshape(-1)
-        gamma = alpha * np.where(top_bits[:count] == 1, 1.0, -1.0)
-        angles = ((words[:, 1:] >> 11) * 2.0**-53).reshape(-1, n_angles)[:count]
-    else:
+    if mode is SampleMode.GRID:
         raise ValueError(f"{mode.value} is not a random sampling mode")
-    theta = TWO_PI * angles[:, 0]  # uniform(0, 2*pi); adding the 0.0 changes no bit
-    return ChannelParams(gamma, theta, TWO_PI * angles[:, 1] if n_angles == 2 else None)
+    n_angles = 2 if model is Model.COMPLEX else 1
+    u = np.random.default_rng(seed).random((count, 1 + n_angles))
+    if mode is SampleMode.UNIFORM_INTERIOR:
+        gamma = -alpha + 2.0 * alpha * u[:, 0]
+    else:
+        gamma = np.where(u[:, 0] < 0.5, -alpha, alpha)
+    theta = TWO_PI * u[:, 1]  # uniform(0, 2*pi); adding the 0.0 changes no bit
+    return ChannelParams(gamma, theta, TWO_PI * u[:, 2] if n_angles == 2 else None)
 
 
 def lattice(alpha: float, model: Model, n_gamma=41, n_theta=64, n_phi=64) -> ChannelParams:

@@ -420,7 +420,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

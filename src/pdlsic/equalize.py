@@ -52,14 +52,6 @@ def _transpose(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def _diag(v: np.ndarray) -> np.ndarray:
-    """Diagonal matrices with ``v`` on the diagonal, over the leading axes of ``v``."""
-    out = np.zeros(v.shape + v.shape[-1:])
-    i = np.arange(v.shape[-1])
-    out[..., i, i] = v
-    return out
-
-
 def zf_equalizer(effective: EffectiveChannel) -> np.ndarray:
     """E = H^-1; exists whenever |gamma| < 1."""
     h = effective.matrix
@@ -98,10 +90,11 @@ class StreamStats:
 
 def _statistics(h: np.ndarray, e: np.ndarray, snr_linear: float) -> StreamStats:
     eh = e @ h
-    lam = np.diagonal(eh, axis1=-2, axis2=-1).copy()
-    f = eh - _diag(lam)
-    k_uu = snr_linear * _diag(lam**2)
-    k_uz = snr_linear * _diag(lam) @ _transpose(f)
+    lam = np.diagonal(eh, axis1=-2, axis2=-1)[..., None]
+    eye = np.eye(eh.shape[-1])
+    f = eh - lam * eye
+    k_uu = snr_linear * lam**2 * eye
+    k_uz = snr_linear * lam * _transpose(f)
     k_zz = snr_linear * (f @ _transpose(f)) + e @ _transpose(e)
     snrs = np.diagonal(k_uu, axis1=-2, axis2=-1) / np.diagonal(k_zz, axis1=-2, axis2=-1)
     return StreamStats(k_uu, k_uz, k_zz, snrs)

@@ -11,9 +11,10 @@ the noise stream, the first n rows of each block's ``(2n, trials)`` segment.
 The channels and equalizers are built for runs of whole chunks, the
 arithmetic runs stacked over each chunk, and each stage's moments are
 reduced to running sums in block order, so a report is byte-identical for
-a fixed config and independent of the chunk size.  (This stream layout
-replaced one seed per block in one change; reports for a given seed
-changed then, once.)
+a fixed config and independent of the chunk size.  Reports for a given
+seed have changed twice: when this layout replaced one seed per block, and
+when WorstCaseEdge block parameters moved to the one uniform table of
+``draw_params`` (UniformInterior and Grid parameters did not change).
 Standard errors come from a per-block jackknife, which respects block
 correlation without distributional assumptions; the jackknife of the
 second moments runs on the sums, and only the stream signal and noise of
@@ -288,8 +289,13 @@ class SimReport:
         try:  # strict JSON: NaN and infinity raise
             return json.dumps(self.as_dict(), indent=2, allow_nan=False)
         except ValueError:
-            raise ValueError(f"the report at SNR {self.config.snr.snr_linear:g} holds a "
-                             "non-finite number: its statistics over- or underflow") from None
+            raise _out_of_range(self.config) from None
+
+
+def _out_of_range(config: SimConfig) -> ValueError:
+    """The refusal of a run whose statistics leave the range of normal floats."""
+    return ValueError(f"the report at SNR {config.snr.snr_linear:g} would hold a non-finite "
+                      "or underflowed number: its statistics over- or underflow")
 
 
 def _block_params(config: SimConfig, seed) -> ChannelParams:
@@ -568,6 +574,10 @@ def run(config: SimConfig) -> SimReport:
     params_seed, blocks_root = np.random.SeedSequence(config.seed).spawn(2)
     params = _block_params(config, params_seed)
     sums, errors = _simulate_blocks(config, params, blocks_root)
+    # below the normal range (LMMSE stage 1 scales as SNR^3), SNRs read 0, 0/0 or drift
+    tiny = np.finfo(float).tiny
+    if any(min(stage.signal.min(), stage.noise.min()) < tiny for stage in sums):
+        raise _out_of_range(config)
 
     stages = tuple(stage.stats() for stage in sums)
     snr, snr_se = stages[0].snr_per_stream, stages[0].snr_stderr

@@ -118,11 +118,6 @@ class EffectiveChannel:
         return self.matrix.shape[-1]
 
     @property
-    def h1(self) -> np.ndarray:
-        """Left column half (first-decoded stream group)."""
-        return self.matrix[..., : self.n_streams // 2]
-
-    @property
     def h2(self) -> np.ndarray:
         """Right column half (group decoded after cancellation)."""
         return self.matrix[..., self.n_streams // 2 :]
@@ -154,16 +149,6 @@ def gram(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(x, -1, -2)) @ x
 
 
-def interference_coupling(effective: EffectiveChannel) -> np.ndarray:
-    """The matrix S in H^T H = [[I, -S], [-S, I]], recovered numerically.
-
-    For the real model S has entries +-gamma*cos(2 theta), +-gamma*sin(2 theta);
-    for the complex model it is extracted numerically from the product.
-    """
-    k = effective.n_streams // 2
-    return -gram(effective.matrix)[..., :k, k:]
-
-
 @dataclass(frozen=True)
 class OrthogonalDesignReport:
     """Numeric defects of the orthogonal-design structure of an effective channel."""
@@ -177,11 +162,14 @@ class OrthogonalDesignReport:
 def verify_orthogonal_design(effective: EffectiveChannel) -> OrthogonalDesignReport:
     """Defects of H1^T H1 = H2^T H2 = I and of the symmetry of the recovered coupling S.
 
-    On a stack the defects are maxima over all members; S is kept per member.
+    All three come from the blocks of the one Gram H^T H.  On a stack the
+    defects are maxima over all members; S is kept per member.
     """
-    eye = np.eye(effective.n_streams // 2)
-    dev1 = float(np.abs(gram(effective.h1) - eye).max())
-    dev2 = float(np.abs(gram(effective.h2) - eye).max())
-    s = interference_coupling(effective)
+    k = effective.n_streams // 2
+    eye = np.eye(k)
+    hth = gram(effective.matrix)
+    dev1 = float(np.abs(hth[..., :k, :k] - eye).max())
+    dev2 = float(np.abs(hth[..., k:, k:] - eye).max())
+    s = -hth[..., :k, k:]
     sym = float(np.abs(s - np.swapaxes(s, -1, -2)).max())
     return OrthogonalDesignReport(dev1, dev2, s, sym)

@@ -242,7 +242,7 @@ def scalar_draws(alpha, mode, model, seed, count):
     points = []
     for _ in range(count):
         if mode is SampleMode.WORST_CASE_EDGE:
-            g = alpha * (1.0 if rng.integers(0, 2) == 1 else -1.0)
+            g = -alpha if rng.random() < 0.5 else alpha
         else:
             g = rng.uniform(-alpha, alpha)
         t = rng.uniform(0.0, TWO_PI)

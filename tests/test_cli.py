@@ -499,8 +499,9 @@ class TestSimulate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("model, scheme, snr, trials, block_size, shown", [
         ("ComplexEquivalent", "LMMSE-SIC", 1e-200, 200, 10, "1e-200"),
+        ("ComplexEquivalent", "LMMSE-SIC", 1e-110, 200, 10, "1e-110"),
         ("Real", "ZF-SIC", 1e306, 2000, 1000, "1e+306"),
-    ], ids=["underflow", "overflow"])
+    ], ids=["underflow", "underflow-to-zero", "overflow"])
     def test_non_finite_report_is_usage_error(
         self, tmp_path, capsys, model, scheme, snr, trials, block_size, shown
     ):
@@ -517,6 +518,23 @@ class TestSimulate:
         assert code == 2
         assert out == "" and not out_path.exists()
         assert err.startswith("error: ") and "non-finite" in err and f"SNR {shown}" in err
+
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys):
+        # 10**15 one-trial blocks need 14 PiB of block parameters, more than
+        # the 128 TiB user address space, so the allocation fails at once
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({
+            "model": "Real", "alpha": 0.599, "snr": {"snr_linear": 20},
+            "param_mode": "WorstCaseEdge", "scheme": "ZF", "trials": 10**15, "seed": 0,
+            "block_size": 1,
+        }))
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["simulate", "--config", str(cfg_path), "--out", str(out_path)], capsys
+        )
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err.startswith("error: ") and "allocate" in err
 
     def test_bundled_example_config_parses(self, tmp_path, capsys):
         # the shipped config at configs/lmmse_sic_6db.json, scaled down

@@ -12,8 +12,8 @@ from pdlsic.equalize import CONDITION_LIMIT
 from pdlsic.precode import (
     Precoder,
     effective_channel,
+    gram,
     identity_precoder,
-    interference_coupling,
     permute_columns,
     precoder_complex,
     precoder_real,
@@ -22,6 +22,7 @@ from pdlsic.precode import (
 )
 
 SNR = SnrSpec(20.0)
+EPS = np.finfo(float).eps
 
 
 def random_params(rng, model):
@@ -100,7 +101,7 @@ class TestEffectiveChannel:
         eff = effective_channel(
             ChannelParams(0.599, 0.3, 2.1), precoder_complex(), SNR
         )
-        sv = np.linalg.svd(eff.h1, compute_uv=False)
+        sv = np.linalg.svd(eff.matrix[..., :4], compute_uv=False)
         assert np.allclose(sv, 1.0, atol=1e-12)
 
     def test_energy_preservation(self):
@@ -124,9 +125,14 @@ class TestOrthogonalDesign:
     )
     def test_random_draws_certify(self, model, pre):
         rng = np.random.default_rng(1)
+        k = pre.n_streams // 2
         for _ in range(2000):
             eff = effective_channel(random_params(rng, model), pre, SNR)
-            assert design_defect(verify_orthogonal_design(eff)) < 1e-10
+            rep = verify_orthogonal_design(eff)
+            assert design_defect(rep) < 1e-10
+            # the blocks of the one Gram give the column halves' own defects
+            for dev, half in ((rep.max_dev_h1, eff.matrix[..., :k]), (rep.max_dev_h2, eff.h2)):
+                assert abs(dev - np.abs(gram(half) - np.eye(k)).max()) <= 4 * EPS
 
     def test_default_grid_certifies(self):
         for model, pre in ((Model.REAL, precoder_real()), (Model.COMPLEX, precoder_complex())):
@@ -162,7 +168,7 @@ class TestOrthogonalDesign:
         for model, pre in ((Model.REAL, precoder_real()), (Model.COMPLEX, precoder_complex())):
             for _ in range(300):
                 params = random_params(rng, model)
-                s = interference_coupling(effective_channel(params, pre, SNR))
+                s = verify_orthogonal_design(effective_channel(params, pre, SNR)).coupling
                 k = s.shape[0]
                 assert np.abs(s - s.T).max() < 1e-12
                 assert np.abs(s.T @ s - params.gamma**2 * np.eye(k)).max() < 1e-10
