@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SnrSpec, channel_entries, lattice, validate_alpha
+from .channel import ChannelParams, SnrSpec, channel_entries, lattice, validate_alpha
 from .precode import Precoder
 
 #: Default grid resolutions for the max-min searches.  201 points in beta
@@ -219,15 +219,6 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridPoint:
-    """One (gamma, theta, phi) lattice point; ``phi`` is None for the real model."""
-
-    gamma: float
-    theta: float
-    phi: float | None
-
-
-@dataclass(frozen=True)
 class StarPropertyReport:
     """Both sides of the min-sum vs sum-min capacity split, per real dimension."""
 
@@ -235,8 +226,8 @@ class StarPropertyReport:
     rhs_bits: float  # sum over streams of the per-stream minima
     gap_bits: float
     min_stream_snrs: np.ndarray
-    lhs_point: GridPoint  # first lattice point (in grid order) of the rate-sum minimum
-    min_stream_points: tuple[GridPoint, ...]  # first lattice point of each stream's minimum
+    lhs_point: ChannelParams  # first lattice point (in grid order) of the rate-sum minimum
+    min_stream_points: tuple[ChannelParams, ...]  # first lattice point of each stream's minimum
 
     @property
     def passed(self) -> bool:
@@ -300,8 +291,8 @@ def verify_star_property(
     theta = grid.theta[0]
     phi = None if grid.phi is None else grid.phi[0]
 
-    def point(g, j) -> GridPoint:
-        return GridPoint(float(g), float(theta[j]), None if phi is None else float(phi[j]))
+    def point(g, j) -> ChannelParams:
+        return ChannelParams(float(g), float(theta[j]), None if phi is None else float(phi[j]))
 
     lhs = np.inf
     lhs_at = None

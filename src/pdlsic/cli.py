@@ -23,6 +23,7 @@ import numpy as np
 
 from . import capacity, linkbudget, montecarlo
 from .channel import (
+    ChannelParams,
     Model,
     SampleMode,
     SnrSpec,
@@ -92,7 +93,11 @@ def _emit(chunks, out_path):
 
 
 def _emit_json(payload: dict, out_path):
-    _emit([json.dumps(_round_floats(payload), indent=2) + "\n"], out_path)
+    try:  # strict JSON: NaN and infinity raise before any file is opened
+        text = json.dumps(_round_floats(payload), indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("the JSON output would hold NaN or Infinity: a number overflows") from None
+    _emit([text + "\n"], out_path)
 
 
 def _add_alpha_flags(parser):
@@ -132,6 +137,9 @@ def cmd_curves(args) -> int:
     n = math.floor(steps + 1e-9)
     if n + 1 > MAX_CURVE_ROWS:
         raise ValueError(f"curves would have {n + 1} rows; at most {MAX_CURVE_ROWS} are allowed")
+    with np.errstate(over="ignore"):  # (1+alpha)*SNR is the largest number a row computes
+        if not np.isfinite((1.0 + args.alpha) * 10.0 ** (np.float64(args.snr_db_max) / 10.0)):
+            raise ValueError(f"curves at snr-db-max {args.snr_db_max:g} overflow the float range")
     _emit(_curve_chunks(args.alpha, args.snr_db_min, args.snr_db_max, step, n + 1), args.out)
     return EXIT_OK
 
@@ -172,17 +180,19 @@ def cmd_penalties(args) -> int:
     return EXIT_OK
 
 
-def _models_from_arg(model_arg: str) -> list[Model]:
-    if model_arg == "both":
-        return [Model.REAL, Model.COMPLEX]
-    return [Model.parse(model_arg)]
+def _precoders(args) -> list:
+    """Each ``--model``'s ``--precoder``, in ``--permute`` column order: all before any output."""
+    make = identity_precoder if args.precoder == "identity" else universal_precoder
+    models = [Model.REAL, Model.COMPLEX] if args.model == "both" else [Model.parse(args.model)]
+    return [permute_columns(make(m), args.permute) if args.permute else make(m) for m in models]
 
 
 def _sampled_channels(args, snr: SnrSpec):
     """Each model with its random draws and their precoded effective channels, as stacks."""
-    for model in _models_from_arg(args.model):
-        params = draw_params(args.alpha, SampleMode.UNIFORM_INTERIOR, model, args.seed, args.draws)
-        yield model, params, effective_channel(params, universal_precoder(model), snr)
+    for pre in _precoders(args):
+        params = draw_params(args.alpha, SampleMode.UNIFORM_INTERIOR, pre.model, args.seed,
+                             args.draws)
+        yield pre.model, params, effective_channel(params, pre, snr)
 
 
 def _suite_orthogonality(args, snr: SnrSpec):
@@ -218,18 +228,13 @@ def _suite_snr_closed_forms(args, snr: SnrSpec):
                f"max_rel_dev={max(worst.values()):.3e} (tol 1e-09)")
 
 
-def _point_text(point: capacity.GridPoint) -> str:
+def _point_text(point: ChannelParams) -> str:
     text = f"gamma={point.gamma:.6g} theta={point.theta:.6g}"
     return text if point.phi is None else f"{text} phi={point.phi:.6g}"
 
 
 def _suite_star_property(args, snr: SnrSpec):
-    make = identity_precoder if args.precoder == "identity" else universal_precoder
-    precoders = [make(model) for model in _models_from_arg(args.model)]
-    if args.permute:
-        # every model's order is checked before the first oracle run, so a misfit exits 2 unprinted
-        precoders = [permute_columns(pre, args.permute) for pre in precoders]
-    for pre in precoders:
+    for pre in _precoders(args):
         rep = capacity.verify_star_property(
             pre,
             args.alpha,
@@ -307,6 +312,8 @@ _SUITES = {
 def cmd_verify(args) -> int:
     """Print each verdict of the suite as it comes; then write ``--out`` and give the exit code."""
     snr = SnrSpec.from_db(args.snr_db)
+    if args.suite in ("worst-case", "means") and (args.precoder == "identity" or args.permute):
+        raise ValueError(f"{args.suite} has no precoder: drop --precoder identity and --permute")
     passed, detail = True, {}
     for model, ok, part, summary in _SUITES[args.suite](args, snr):
         name = args.suite if model is None else f"{args.suite}[{model.value}]"
@@ -378,10 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SNR in dB (default: linear SNR 20).")
     p.add_argument("--model", choices=("real", "complex", "both"), default="both")
     p.add_argument("--precoder", choices=("universal", "identity"), default="universal",
-                   help="star-property only: which precoder to test.")
+                   help="Precoder that orthogonality, snr-closed-forms and star-property "
+                        "test; worst-case and means refuse identity.")
     p.add_argument("--permute", type=_order, default=None,
-                   help="star-property only: comma-separated column order for a "
-                        "negative test, e.g. 0,2,1,3.")
+                   help="Comma-separated column order of that precoder for a negative "
+                        "test, e.g. 0,2,1,3; worst-case and means refuse it.")
     p.add_argument("--n-beta", type=_count(2), default=capacity.GRID_N_BETA)
     p.add_argument("--n-gamma", type=_count(1), default=capacity.GRID_N_GAMMA)
     p.add_argument("--n-theta", type=_count(1), default=capacity.GRID_N_THETA)
@@ -420,8 +428,9 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+        what = "float overflow: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {what}{exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

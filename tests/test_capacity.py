@@ -253,9 +253,7 @@ class TestStarProperty:
             assert p.phi is None
 
         def snrs_at(p):
-            return capacity.successive_stream_snrs(
-                grams(ChannelParams(p.gamma, p.theta, p.phi), swapped), 20.0
-            )
+            return capacity.successive_stream_snrs(grams(p, swapped), 20.0)
 
         # each point is where its minimum is attained
         rate_sum = float(np.sum(capacity.c_awgn(snrs_at(rep.lhs_point))))

@@ -106,6 +106,16 @@ class TestCurves:
             assert code == 2, bounds
             assert out == "" and "error" in err, bounds
 
+    def test_overflowing_snr_is_usage_error(self, capsys):
+        # (1+alpha)*SNR past the float range once wrote inf and nan cells and exited 0
+        argv = ["curves", "--alpha", "0.9", "--snr-db-min", "3079", "--snr-db-step", "1"]
+        code, out, err = run_cli([*argv, "--snr-db-max", "3082"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+        code, out, _ = run_cli([*argv, "--snr-db-max", "3079"], capsys)
+        assert code == 0
+        assert np.isfinite(np.genfromtxt(out.splitlines(), delimiter=",", skip_header=1)).all()
+
     def test_rows_never_pass_max(self, capsys):
         code, out, _ = run_cli(
             ["curves", "--alpha", "0.5", "--snr-db-max", "1", "--snr-db-step", "0.6"], capsys
@@ -292,6 +302,8 @@ class TestVerify:
             ["--suite", "star-property", "--permute", ""],
             ["--suite", "star-property", "--permute", "0,,1"],
             ["--suite", "star-property", "--permute", "a,b"],
+            ["--suite", "orthogonality", "--permute", ""],
+            ["--suite", "snr-closed-forms", "--permute", "0,,1"],
         ],
     )
     def test_empty_grid_or_sample_is_usage_error(self, argv, capsys):
@@ -301,11 +313,12 @@ class TestVerify:
         message = "comma-separated integers" if "--permute" in argv else "must be at least"
         assert message in capsys.readouterr().err
 
-    def test_permute_must_fit_every_model_before_any_output(self, capsys, tmp_path):
+    @pytest.mark.parametrize("suite", ["star-property", "orthogonality", "snr-closed-forms"])
+    def test_permute_must_fit_every_model_before_any_output(self, suite, capsys, tmp_path):
         # 4 columns fit the real precoder but not the complex one: nothing runs, nothing is written
-        out = tmp_path / "star.json"
+        out = tmp_path / "detail.json"
         code, stdout, err = run_cli(
-            ["verify", "--suite", "star-property", "--alpha", "0.599", "--n-gamma", "3",
+            ["verify", "--suite", suite, "--alpha", "0.599", "--n-gamma", "3", "--draws", "20",
              "--permute", "0,2,1,3", "--out", str(out)],
             capsys,
         )
@@ -313,6 +326,73 @@ class TestVerify:
         assert stdout == ""
         assert "order must be a permutation of 0..7" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("control", [["--precoder", "identity"], ["--permute", "0,2,1,3"]],
+                             ids=["identity", "permuted"])
+    @pytest.mark.parametrize("suite", ["orthogonality", "snr-closed-forms"])
+    def test_sampling_suite_fails_negative_control(self, suite, control, capsys, tmp_path):
+        # these suites once tested the universal precoder whatever the flags, and passed
+        out = tmp_path / "detail.json"
+        code, stdout, _ = run_cli(
+            ["verify", "--suite", suite, "--alpha", "0.9", "--draws", "200", "--model", "real",
+             *control, "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert stdout.startswith(f"FAIL {suite}[real] ")
+        detail = json.loads(out.read_text())["detail"]["real"]
+        assert detail["passed"] is False
+        if suite == "orthogonality":
+            assert detail["max_defects"]["h1"] > 0.5
+        else:
+            dev = detail["max_rel_dev"]
+            assert dev["PostSIC"] > 0.5
+            if "--permute" in control:  # the swap keeps both stream groups: only the SIC order breaks
+                assert dev["ZF"] < 1e-9 and dev["LMMSE"] < 1e-9
+
+    @pytest.mark.parametrize("control", [["--precoder", "identity"], ["--permute", "0,2,1,3"]],
+                             ids=["identity", "permuted"])
+    @pytest.mark.parametrize("suite", ["worst-case", "means"])
+    def test_model_free_suite_refuses_controls(self, suite, control, capsys, tmp_path):
+        # worst-case and means build no precoder, so a control would pass unrun
+        out = tmp_path / "detail.json"
+        code, stdout, err = run_cli(
+            ["verify", "--suite", suite, "--alpha", "0.599", *control, "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: ") and "no precoder" in err
+
+    def test_model_free_suite_takes_the_default_precoder_flag(self, capsys):
+        code, stdout, _ = run_cli(
+            ["verify", "--suite", "means", "--alpha", "0.599", "--precoder", "universal"], capsys
+        )
+        assert code == 0 and stdout.startswith("PASS means ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "means", "--alpha", "0.5", "--snr-db", "1550"],  # snr * snr overflows
+        ["--suite", "worst-case", "--alpha", "0.9", "--snr-db", "3080"],  # (1+alpha) * snr does
+    ], ids=["means", "worst-case"])
+    def test_non_finite_detail_is_usage_error(self, argv, capsys, tmp_path):
+        # the --out file once held the non-standard JSON constant Infinity
+        out = tmp_path / "detail.json"
+        code, _, err = run_cli(["verify", *argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert not out.exists()
+        assert err.startswith("error: ") and "NaN or Infinity" in err
+
+    def test_closed_form_overflow_is_usage_error(self, capsys, tmp_path):
+        # snr**2 in the LMMSE closed form raised an uncaught OverflowError, exit 1
+        out = tmp_path / "detail.json"
+        code, stdout, err = run_cli(
+            ["verify", "--suite", "snr-closed-forms", "--alpha", "0.5", "--snr-db", "1550",
+             "--draws", "20", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: float overflow")
 
     @pytest.mark.parametrize("model", ["real", "complex", "both"])
     @pytest.mark.parametrize(
@@ -518,6 +598,23 @@ class TestSimulate:
         assert code == 2
         assert out == "" and not out_path.exists()
         assert err.startswith("error: ") and "non-finite" in err and f"SNR {shown}" in err
+
+    def test_closed_form_overflow_is_usage_error(self, tmp_path, capsys):
+        # the PAM SER theory squares snr_linear 1e160 in Python floats; that raised an
+        # uncaught OverflowError, exit 1
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({
+            "model": "Real", "alpha": 0.599, "snr": {"snr_linear": 1e160},
+            "param_mode": "WorstCaseEdge", "scheme": "LMMSE-SIC", "trials": 20, "seed": 42,
+            "constellation": "PAM(4)", "block_size": 10,
+        }))
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["simulate", "--config", str(cfg_path), "--out", str(out_path)], capsys
+        )
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err.startswith("error: float overflow")
 
     def test_out_of_memory_is_usage_error(self, tmp_path, capsys):
         # 10**15 one-trial blocks need 14 PiB of block parameters, more than
