@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, SnrSpec, channel_entries, lattice, validate_alpha
+from .channel import (
+    FACTOR_LAYOUT,
+    ChannelParams,
+    Model,
+    SnrSpec,
+    channel_factors,
+    lattice_axes,
+    validate_alpha,
+)
 from .precode import Precoder
 
 #: Default grid resolutions for the max-min searches.  201 points in beta
@@ -153,13 +161,17 @@ def worst_case_search(
     gammas = np.linspace(-alpha, alpha, n_gamma)
     bb = betas[:, None]
     gg = gammas[None, :]
-    objective = c_awgn(2.0 * (1.0 + gg) * bb * snr) + c_awgn(
-        2.0 * (1.0 - gg) * (1.0 - bb) * snr
-    )
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        objective = c_awgn(2.0 * (1.0 + gg) * bb * snr) + c_awgn(
+            2.0 * (1.0 - gg) * (1.0 - bb) * snr
+        )
+        closed_form_bits = 2.0 * float(c_compound(alpha, snr))
     idx = np.argmin(objective, axis=1)
     min_value = objective[np.arange(n_beta), idx]
     gamma_star = gammas[idx]
     k = int(np.argmax(min_value))
+    if not math.isfinite(min_value[k] - closed_form_bits):
+        raise ValueError(f"the worst-case rate sums overflow the float range at snr {snr:g}")
     return WorstCaseSearch(
         alpha=alpha,
         snr=snr,
@@ -168,7 +180,7 @@ def worst_case_search(
         min_value=min_value,
         beta_star=float(betas[k]),
         max_min_bits=float(min_value[k]),
-        closed_form_bits=2.0 * float(c_compound(alpha, snr)),
+        closed_form_bits=closed_form_bits,
     )
 
 
@@ -187,7 +199,9 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
     snr * Gram_ii - sum_{j>i} U_ij^2, which never adds the 1 only to take it
     away.  It reads only the upper triangle ``gram[..., a, b]``, a <= b, each
     entry as one array over the stack (contiguous for an entry-major stack),
-    so ``gram`` must be symmetric positive semidefinite.
+    so ``gram`` must be symmetric positive semidefinite.  It writes the SNRs
+    entry major too, one contiguous row per stream, and returns them as the
+    ``(*batch, n)`` view of that ``(n, *batch)`` array.
 
     Error: the only loss is the cancellation in that subtraction, so each
     SNR is within 8*eps*snr*Gram_ii/SNR_i relative of the exact SNRs of the
@@ -202,12 +216,11 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
     gram = np.asarray(gram, float)
     n = gram.shape[-1]
     u = [[None] * n for _ in range(n)]  # u[k][i] = U_ki for k < i
-    out = np.empty(gram.shape[:-1])
+    out = np.empty((n,) + gram.shape[:-2])  # entry major: stream i's SNRs contiguous
     for i in range(n - 1, -1, -1):
-        schur = snr * gram[..., i, i]
+        schur = np.multiply(snr, gram[..., i, i], out=out[i, ...])
         for j in range(i + 1, n):
             schur -= u[i][j] ** 2
-        out[..., i] = schur
         pivot = np.sqrt(schur + 1.0)
         for k in range(i):
             x = snr * gram[..., k, i]
@@ -215,7 +228,7 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
                 x -= u[k][j] * u[i][j]
             x /= pivot
             u[k][i] = x
-    return out
+    return np.moveaxis(out, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -234,35 +247,54 @@ class StarPropertyReport:
         return self.gap_bits < STAR_TOL_BITS
 
 
-def _gram_terms(precoder: Precoder) -> list:
-    """``((a, b), [(c, k, l), ...])`` with Gram[a, b] = sum c * K[k, l], k <= l, for a <= b.
+def _gram_plan(precoder: Precoder) -> tuple:
+    """``(t_pairs, p_pairs, coef)``: Gram[a, b] = sum_UV coef[a, b, U, V] * T_U * P_V.
 
-    H = blockdiag(M, M) @ G gives H^T H = sum_j G_j^T K G_j over the row
-    blocks G_j of G, linear in the symmetric K = M^T M; only nonzero c are kept.
+    Row (j, r) of H = blockdiag(M, M) @ G is sum_k M_rk G[(j, k), :], and by
+    :data:`FACTOR_LAYOUT` each M_rk is a sign times t[u] * p[v] of the
+    :func:`~pdlsic.channel.channel_factors` ``(t, p)``.  So H = N (t x p)
+    for a fixed N, and H^T H is N^T N over the products T_U = t[u] * t[x]
+    and P_V = p[v] * p[y], taken over unordered pairs u <= x and v <= y.
+    Only the T pairs with a nonzero coefficient are kept.
     """
-    n = precoder.n_streams
-    blocks = precoder.entries.reshape(2, n // 2, n)
-    t = np.einsum("jka,jlb->klab", blocks, blocks)
-    t = t + t.transpose(1, 0, 2, 3)  # K[l, k] = K[k, l]: one term per pair, the doubled diagonal halved below
-    kl = list(zip(*np.triu_indices(n // 2)))
-    return [((a, b), [(t[k, l, a, b] / (1 + (k == l)), k, l) for k, l in kl if t[k, l, a, b]])
-            for a, b in zip(*np.triu_indices(n))]
+    layout = FACTOR_LAYOUT[precoder.model]
+    d = len(layout)
+    n_t, n_p = 4, 2 if precoder.model is Model.COMPLEX else 1  # len(t), len(p)
+    signs = np.zeros((d, d, n_t, n_p))  # M_rk = sum_uv signs[r, k, u, v] * t[u] * p[v]
+    for r, row in enumerate(layout):
+        for k, (sign, u, v) in enumerate(row):
+            signs[r, k, u, v] = sign
+    rows = np.einsum("rkuv,jka->jrauv", signs, precoder.entries.reshape(2, d, 2 * d))
+    rows = rows.reshape(2 * d, -1)
+    c = (rows.T @ rows).reshape(2 * d, n_t, n_p, 2 * d, n_t, n_p).transpose(0, 3, 1, 4, 2, 5)
+    c = c + c.transpose(0, 1, 3, 2, 4, 5)  # T_ux = T_xu; the doubled diagonals are halved below
+    c = c + c.transpose(0, 1, 2, 3, 5, 4)
+    tu, tx = np.triu_indices(n_t)
+    pv, py = np.triu_indices(n_p)
+    c = c[:, :, tu, tx][:, :, :, pv, py] / np.outer(1 + (tu == tx), 1 + (pv == py))
+    keep = np.flatnonzero(c.any(axis=(0, 1, 3)))
+    return list(zip(tu[keep], tx[keep])), list(zip(pv, py)), c[:, :, keep]
 
 
-def _gram(gamma, theta, phi, terms: list) -> np.ndarray:
-    """The entry-major Gram stack ``(n, n, *batch)`` of H^T H, built entrywise from :func:`_gram_terms`."""
-    m = channel_entries(gamma, theta, phi)
-    d = len(m)
-    mtm = {}  # the distinct entries of K = M^T M
-    for i in range(d):
-        for j in range(i, d):
-            mtm[i, j] = m[0][i] * m[0][j]
-            for r in range(1, d):
-                mtm[i, j] += m[r][i] * m[r][j]
-    gram = np.empty((2 * d, 2 * d) + np.shape(m[0][0]))
-    for (a, b), entry_terms in terms:
-        gram[a, b] = gram[b, a] = sum(c * mtm[k, l] for c, k, l in entry_terms)
-    return gram
+def _gram(gamma: float, theta, phi, plan: tuple, out: np.ndarray) -> np.ndarray:
+    """H^T H over one sheet, the ``theta`` axis x the ``phi`` axis (None: real), at ``gamma``.
+
+    Each Gram entry over the sheet is the rank-T product of a ``(n_theta, T)``
+    theta-factor and a ``(T, n_phi)`` phi-factor from :func:`_gram_plan`, one
+    batched matmul per Gram row.  Only the upper triangle is written, entry
+    major into ``out`` of shape ``(n, n, S)``; the lower triangle is left as
+    it was.  Returns the ``(S, n, n)`` view, sheet point j at theta ``j //
+    n_phi`` and phi ``j % n_phi``.
+    """
+    t_pairs, p_pairs, coef = plan
+    t, p = channel_factors(gamma, theta, phi)
+    tt = np.stack([t[u] * t[x] for u, x in t_pairs], axis=-1)
+    pp = np.array([np.atleast_1d(p[v] * p[y]) for v, y in p_pairs])
+    w = coef @ pp
+    n, shape = len(out), (len(theta), pp.shape[1])
+    for a in range(n):
+        np.matmul(tt, w[a, a:], out=out[a, a:].reshape(n - a, *shape))
+    return np.moveaxis(out, -1, 0)
 
 
 def verify_star_property(
@@ -275,9 +307,11 @@ def verify_star_property(
 ) -> StarPropertyReport:
     """Grid oracle for the precoder property that SIC order does not lose rate.
 
-    Evaluates, over :func:`~pdlsic.channel.lattice` one theta x phi sheet
-    per gamma, the minimum of the sum of successive per-stream capacities
-    against the sum of the per-stream minima.  The left side equals twice
+    Evaluates, over :func:`~pdlsic.channel.lattice` one sheet per gamma (the
+    theta axis x the phi axis, point j at theta ``j // n_phi`` and phi ``j %
+    n_phi``), the minimum of the sum of successive per-stream capacities
+    against the sum of the per-stream minima.  Every lattice point gets its
+    own Gram and :func:`successive_stream_snrs`.  The left side equals twice
     the compound capacity for any orthogonal precoder (chain rule); the
     right side reaches it only for a correct precoder and stream order.
     gap >= 0 always, and a pass means the two sides agree to
@@ -285,30 +319,32 @@ def verify_star_property(
     point of the left side's minimum and of each stream's minimum.
     """
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr before any grid work
-    grid = lattice(alpha, precoder.model, n_gamma, n_theta, n_phi)
+    gammas, theta, phi = lattice_axes(alpha, precoder.model, n_gamma, n_theta, n_phi)
+    n_phi = 1 if phi is None else len(phi)
+    plan = _gram_plan(precoder)
     n = precoder.n_streams
-    terms = _gram_terms(precoder)
-    theta = grid.theta[0]
-    phi = None if grid.phi is None else grid.phi[0]
+    gram = np.empty((n, n, len(theta) * n_phi))  # one buffer for every sheet
 
     def point(g, j) -> ChannelParams:
-        return ChannelParams(float(g), float(theta[j]), None if phi is None else float(phi[j]))
+        return ChannelParams(float(g), float(theta[j // n_phi]),
+                             None if phi is None else float(phi[j % n_phi]))
 
     lhs = np.inf
     lhs_at = None
     min_snrs = np.full(n, np.inf)
     min_at = [None] * n
-    streams = np.arange(n)
-    for g in grid.gamma[:, 0]:  # one theta x phi sheet per gamma
-        # unnamed Gram: keeping one sheet's alive while the next is built raised peak RSS 6 MiB
-        snrs = successive_stream_snrs(np.moveaxis(_gram(g, theta, phi, terms), -1, 0), snr)
-        sums = (0.5 * np.log2(1.0 + snrs)).sum(axis=1)
+    for g in gammas:
+        # (n, S): one contiguous row per stream
+        snrs = successive_stream_snrs(_gram(g, theta, phi, plan, gram), snr).T
+        sums = np.zeros(snrs.shape[1])
+        for i, row in enumerate(snrs):
+            sums += np.log2(1.0 + row)
+            k = int(row.argmin())
+            if row[k] < min_snrs[i]:
+                min_snrs[i], min_at[i] = row[k], point(g, k)
         j = int(sums.argmin())
-        if sums[j] < lhs:
-            lhs, lhs_at = float(sums[j]), point(g, j)
-        rows = snrs.argmin(axis=0)
-        for i in np.flatnonzero(snrs[rows, streams] < min_snrs):
-            min_snrs[i], min_at[i] = snrs[rows[i], i], point(g, rows[i])
+        if 0.5 * sums[j] < lhs:
+            lhs, lhs_at = 0.5 * float(sums[j]), point(g, j)
     rhs = float(np.sum(0.5 * np.log2(1.0 + min_snrs)))
     return StarPropertyReport(
         lhs_bits=lhs / n,
@@ -351,5 +387,7 @@ def mean_identity_check(a: float, b: float, snr: float = 100.0) -> MeanIdentityR
     t_mean_split = 0.5 * math.log2(am * snr) + 0.5 * math.log2(hm * snr)
     terms = (t_sum, t_product, t_geometric, t_mean_split)
     chain_defect = max(abs(x - t_sum) for x in terms)
+    if not math.isfinite(chain_defect):
+        raise ValueError(f"the capacity chain overflows the float range at snr {snr:g}")
     return MeanIdentityReport(am, gm, hm, product_defect, chain_defect)
 

@@ -81,7 +81,10 @@ def alpha_from_pdl_db(pdl_db: float) -> float:
     """Inverse of :func:`pdl_db_from_alpha`: alpha = (r-1)/(r+1), r = 10^(dB/10)."""
     if pdl_db < 0.0:
         raise ValueError(f"pdl_db must be non-negative, got {pdl_db}")
-    r = 10.0 ** (pdl_db / 10.0)
+    try:
+        r = 10.0 ** (pdl_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"pdl_db {pdl_db:g} overflows the float range") from None
     return (r - 1.0) / (r + 1.0)
 
 
@@ -141,21 +144,43 @@ class ChannelParams:
         return Model.REAL if self.phi is None else Model.COMPLEX
 
 
-def channel_entries(gamma, theta, phi=None) -> list[list]:
-    """Entries of :func:`channel_matrix` from ChannelParams fields; ``rows[i][j]`` is entry (i, j)."""
+#: Entry (i, j) of :func:`channel_matrix` as ``(sign, u, v)``: it is sign * t[u] * p[v]
+#: over the factors ``(t, p)`` of :func:`channel_factors`.
+FACTOR_LAYOUT = {
+    Model.REAL: (
+        ((1, 0, 0), (-1, 1, 0)),
+        ((1, 2, 0), (1, 3, 0)),
+    ),
+    Model.COMPLEX: (
+        ((1, 0, 0), (-1, 1, 0), (-1, 0, 1), (-1, 1, 1)),
+        ((1, 2, 0), (1, 3, 0), (-1, 2, 1), (1, 3, 1)),
+        ((1, 0, 1), (1, 1, 1), (1, 0, 0), (-1, 1, 0)),
+        ((1, 2, 1), (-1, 3, 1), (1, 2, 0), (1, 3, 0)),
+    ),
+}
+
+
+def channel_factors(gamma, theta, phi=None) -> tuple[tuple, tuple]:
+    """The (gamma, theta)-factors ``t`` and phi-factors ``p`` of every channel entry.
+
+    ``t = (a, b, e, f)`` are the entries of D_gamma @ R_theta, whose rows are
+    [a, -b] and [e, f]; ``p = (cos phi, sin phi)``, or ``(1.0,)`` for the real
+    model.  :data:`FACTOR_LAYOUT` places their signed products in the matrix.
+    """
     c, s = np.cos(theta), np.sin(theta)
     rp, rm = np.sqrt(1.0 + gamma), np.sqrt(1.0 - gamma)
-    # rows of D_gamma @ R_theta: [a, -b] and [e, f]
-    a, b, e, f = rp * c, rp * s, rm * s, rm * c
-    if phi is None:
-        return [[a, -b], [e, f]]
-    cp, sp = np.cos(phi), np.sin(phi)
-    return [
-        [a * cp, -(b * cp), -(a * sp), -(b * sp)],
-        [e * cp, f * cp, -(e * sp), f * sp],
-        [a * sp, b * sp, a * cp, -(b * cp)],
-        [e * sp, -(f * sp), e * cp, f * cp],
-    ]
+    t = (rp * c, rp * s, rm * s, rm * c)
+    return t, (1.0,) if phi is None else (np.cos(phi), np.sin(phi))
+
+
+def channel_entries(gamma, theta, phi=None) -> list[list]:
+    """Entries of :func:`channel_matrix` from ChannelParams fields; ``rows[i][j]`` is entry (i, j).
+
+    Each is the product of its :func:`channel_factors`, negated after rounding.
+    """
+    t, p = channel_factors(gamma, theta, phi)
+    layout = FACTOR_LAYOUT[Model.REAL if phi is None else Model.COMPLEX]
+    return [[t[u] * p[v] if sign > 0 else -(t[u] * p[v]) for sign, u, v in row] for row in layout]
 
 
 def channel_matrix(params: ChannelParams) -> np.ndarray:
@@ -195,25 +220,33 @@ def draw_params(alpha: float, mode: SampleMode, model: Model, seed, count: int) 
     return ChannelParams(gamma, theta, TWO_PI * u[:, 2] if n_angles == 2 else None)
 
 
+def lattice_axes(alpha: float, model: Model, n_gamma=41, n_theta=64, n_phi=64) -> tuple:
+    """The gamma, theta and phi axes of :func:`lattice`; phi is None for the real model."""
+    validate_alpha(alpha)
+    if min(n_gamma, n_theta, n_phi) < 1:
+        raise ValueError("grid sizes must be at least 1")
+    theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    phi = None if model is Model.REAL else np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
+    return np.linspace(-alpha, alpha, n_gamma), theta, phi
+
+
 def lattice(alpha: float, model: Model, n_gamma=41, n_theta=64, n_phi=64) -> ChannelParams:
     """The (gamma, theta[, phi]) Grid lattice, gamma outermost and phi innermost.
 
     gamma spans [-alpha, alpha] with both endpoints (provably the worst
     case); theta and phi are periodic, so their grids exclude 2*pi.  The real
     model ignores ``n_phi``.  ``gamma`` has shape ``(n_gamma, 1)`` and
-    ``theta``/``phi`` shape ``(1, S)`` over the S-point theta x phi sheet:
-    the fields broadcast to the lattice without storing it, point k at
-    ``[k // S, k % S]``.  The default sizes are those of Grid simulation runs.
+    ``theta``/``phi`` shape ``(1, S)`` over the S-point sheet, the theta axis
+    x the phi axis of :func:`lattice_axes`: sheet point j is theta ``j //
+    n_phi`` and phi ``j % n_phi`` (n_phi 1 for the real model).  The fields
+    broadcast to the lattice without storing it, point k at ``[k // S, k %
+    S]``.  The default sizes are those of Grid simulation runs.
     """
-    validate_alpha(alpha)
-    if min(n_gamma, n_theta, n_phi) < 1:
-        raise ValueError("grid sizes must be at least 1")
-    gamma = np.linspace(-alpha, alpha, n_gamma)[:, None]
-    theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    if model is Model.REAL:
-        return ChannelParams(gamma, theta[None, :])
-    tt, pp = np.meshgrid(theta, np.linspace(0.0, TWO_PI, n_phi, endpoint=False), indexing="ij")
-    return ChannelParams(gamma, tt.reshape(1, -1), pp.reshape(1, -1))
+    gamma, theta, phi = lattice_axes(alpha, model, n_gamma, n_theta, n_phi)
+    if phi is None:
+        return ChannelParams(gamma[:, None], theta[None, :])
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    return ChannelParams(gamma[:, None], tt.reshape(1, -1), pp.reshape(1, -1))
 
 
 def sample_params(

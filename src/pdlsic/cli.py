@@ -29,7 +29,7 @@ from .channel import (
     SnrSpec,
     alpha_from_pdl_db,
     draw_params,
-    lattice,
+    lattice_axes,
     pdl_db_from_alpha,
     validate_alpha,
 )
@@ -183,7 +183,8 @@ def cmd_penalties(args) -> int:
 def _precoders(args) -> list:
     """Each ``--model``'s ``--precoder``, in ``--permute`` column order: all before any output."""
     make = identity_precoder if args.precoder == "identity" else universal_precoder
-    models = [Model.REAL, Model.COMPLEX] if args.model == "both" else [Model.parse(args.model)]
+    both = args.model in (None, "both")
+    models = [Model.REAL, Model.COMPLEX] if both else [Model.parse(args.model)]
     return [permute_columns(make(m), args.permute) if args.permute else make(m) for m in models]
 
 
@@ -280,7 +281,8 @@ def _suite_worst_case(args, snr: SnrSpec):
 
 
 def _suite_means(args, snr: SnrSpec):
-    gammas = lattice(args.alpha, Model.REAL, args.n_gamma, 1, 1).gamma[:, 0]
+    # Python floats overflow to inf with no RuntimeWarning; mean_identity_check refuses it
+    gammas = lattice_axes(args.alpha, Model.REAL, args.n_gamma)[0].tolist()
     worst_product = 0.0
     worst_chain = 0.0
     worst_arith = 0.0
@@ -312,8 +314,10 @@ _SUITES = {
 def cmd_verify(args) -> int:
     """Print each verdict of the suite as it comes; then write ``--out`` and give the exit code."""
     snr = SnrSpec.from_db(args.snr_db)
-    if args.suite in ("worst-case", "means") and (args.precoder == "identity" or args.permute):
-        raise ValueError(f"{args.suite} has no precoder: drop --precoder identity and --permute")
+    if args.suite in ("worst-case", "means") and (
+            args.precoder == "identity" or args.permute or args.model is not None):
+        raise ValueError(f"{args.suite} has no precoder and no model: "
+                         "drop --precoder identity, --permute and --model")
     passed, detail = True, {}
     for model, ok, part, summary in _SUITES[args.suite](args, snr):
         name = args.suite if model is None else f"{args.suite}[{model.value}]"
@@ -383,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_alpha_flags(p)
     p.add_argument("--snr-db", type=float, default=13.010299956639813,
                    help="SNR in dB (default: linear SNR 20).")
-    p.add_argument("--model", choices=("real", "complex", "both"), default="both")
+    p.add_argument("--model", choices=("real", "complex", "both"), default=None,
+                   help="Model that orthogonality, snr-closed-forms and star-property check "
+                        "(default both); worst-case and means refuse it.")
     p.add_argument("--precoder", choices=("universal", "identity"), default="universal",
                    help="Precoder that orthogonality, snr-closed-forms and star-property "
                         "test; worst-case and means refuse identity.")

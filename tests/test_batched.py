@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pdlsic.capacity import _gram, _gram_terms
+from pdlsic.capacity import _gram, _gram_plan
 from pdlsic.channel import ChannelParams, Model, SnrSpec, channel_matrix
 from pdlsic.equalize import (
     StreamScheme,
@@ -16,7 +16,10 @@ from pdlsic.equalize import (
     zf_equalizer,
 )
 from pdlsic.precode import (
+    Precoder,
     effective_channel,
+    identity_precoder,
+    permute_columns,
     precoder_complex,
     precoder_real,
     verify_orthogonal_design,
@@ -123,13 +126,40 @@ def test_orthogonal_design_maxima_match_per_draw(raw):
     assert max(rep.max_dev_h1, rep.max_dev_h2, rep.symmetry_defect) < 1e-10
 
 
+@st.composite
+def sheet_precoders(draw):
+    """A star oracle precoder: universal, identity, a column permutation or random orthogonal."""
+    model = draw(st.sampled_from(list(Model)))
+    n = 2 * model.dim
+    kind = draw(st.sampled_from(["universal", "identity", "permuted", "random"]))
+    if kind == "universal":
+        return PRECODERS[model]
+    if kind == "identity":
+        return identity_precoder(model)
+    if kind == "permuted":
+        return permute_columns(PRECODERS[model], tuple(draw(st.permutations(range(n)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Precoder(np.linalg.qr(rng.normal(size=(n, n)))[0], model)
+
+
 @settings(max_examples=60, deadline=None)
-@given(raw_stacks())
-def test_gram_from_single_use_blocks_is_hth(raw):
-    """The star oracle's entry-major Gram, sum_j G_j^T (M^T M) G_j, against H^T H of the effective channel."""
-    params = ChannelParams(*raw)
-    h = effective(params).matrix
-    terms = _gram_terms(PRECODERS[params.model])
-    gram = np.moveaxis(_gram(params.gamma, params.theta, params.phi, terms), (0, 1), (-2, -1))
-    assert gram.shape == h.shape
-    assert np.abs(gram - np.swapaxes(h, -1, -2) @ h).max() < 1e-12
+@given(
+    sheet_precoders(),
+    st.floats(-0.99, 0.99),
+    hnp.arrays(float, st.integers(1, 6), elements=st.floats(-20.0, 20.0)),
+    hnp.arrays(float, st.integers(1, 5), elements=st.floats(-20.0, 20.0)),
+)
+def test_gram_from_single_use_blocks_is_hth(precoder, gamma, theta, phi):
+    """The star oracle's Gram over a theta x phi sheet, against H^T H of the effective channel."""
+    phi = None if precoder.model is Model.REAL else phi
+    n, n_phi = precoder.n_streams, 1 if phi is None else len(phi)
+    out = np.full((n, n, len(theta) * n_phi), np.nan)
+    gram = _gram(gamma, theta, phi, _gram_plan(precoder), out)
+    j = np.arange(len(theta) * n_phi)  # sheet point j is theta j // n_phi and phi j % n_phi
+    params = ChannelParams(gamma, theta[j // n_phi], None if phi is None else phi[j % n_phi])
+    h = effective_channel(params, precoder, SNR).matrix
+    hth = np.swapaxes(h, -1, -2) @ h
+    upper, lower = np.triu_indices(n), np.tril_indices(n, -1)
+    assert gram.shape == hth.shape and np.shares_memory(gram, out)
+    assert np.abs(gram[:, upper[0], upper[1]] - hth[:, upper[0], upper[1]]).max() < 1e-12
+    assert np.isnan(gram[:, lower[0], lower[1]]).all()  # the kernel reads only the upper triangle

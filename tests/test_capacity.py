@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdlsic import capacity
-from pdlsic.channel import ChannelParams, Model, SnrSpec
+from pdlsic.channel import ChannelParams, Model, SnrSpec, lattice
 from pdlsic.equalize import _statistics, lmmse_equalizer, stream_statistics
 from pdlsic.precode import (
     Precoder,
     effective_channel,
+    gram,
     identity_precoder,
     permute_columns,
     precoder_complex,
@@ -197,6 +198,11 @@ class TestWorstCaseSearch:
             assert search.all_extremal
             assert search.defect_bits < 1e-9
 
+    def test_overflow_is_refused_not_failed(self):
+        # (1 + alpha) * snr overflows: the defect would read nan, a failed proof
+        with pytest.raises(ValueError, match="float range"):
+            capacity.worst_case_search(0.9, 1e308, n_beta=5, n_gamma=5)
+
 
 class TestStarProperty:
     def test_universal_precoder_real(self):
@@ -241,6 +247,29 @@ class TestStarProperty:
                 Precoder(q, Model.REAL), 0.4, 10.0, n_gamma=11, n_theta=8
             )
             assert rep.gap_bits >= -1e-12
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("control", ["universal", "identity", "permuted"])
+    @pytest.mark.parametrize(("alpha", "snr"), [(0.7, 20.0), (0.3, 1e-2), (0.95, 1e4)])
+    def test_matches_the_lattice_reference(self, model, control, alpha, snr):
+        # the sheet Gram of theta and phi factors against H^T H of every lattice point
+        pre = identity_precoder(model) if control == "identity" else UNIVERSAL[model]
+        n = pre.n_streams
+        if control == "permuted":
+            pre = permute_columns(pre, (0, 2, 1, 3) + tuple(range(4, n)))
+        grid = lattice(alpha, model, 5, 16, 8)
+        g = gram(effective_channel(grid, pre, SnrSpec(snr)).matrix).reshape(-1, n, n)
+        snrs = capacity.successive_stream_snrs(g, snr)
+        mins = snrs.min(axis=0)
+        lhs = float((0.5 * np.log2(1.0 + snrs)).sum(axis=1).min()) / n
+        rhs = float(np.sum(0.5 * np.log2(1.0 + mins))) / n
+        rep = capacity.verify_star_property(pre, alpha, snr, n_gamma=5, n_theta=16, n_phi=8)
+        eps = np.finfo(float).eps
+        assert abs(rep.lhs_bits - lhs) <= 4 * eps * max(1.0, lhs)
+        assert abs(rep.rhs_bits - rhs) <= 4 * eps * max(1.0, rhs)
+        # each side within the kernel's bound, 8 eps * snr * Gram_ii / SNR_i, of the same SNRs
+        bound = 16 * eps * snr * np.diagonal(g, axis1=1, axis2=2).max(axis=0) / mins
+        assert np.all(np.abs(rep.min_stream_snrs / mins - 1.0) <= bound)
 
     def test_column_swap_reports_lattice_points(self):
         swapped = permute_columns(precoder_real(), (0, 2, 1, 3))
@@ -384,3 +413,9 @@ class TestMeanIdentity:
             capacity.mean_identity_check(0.0, 1.0)
         with pytest.raises(ValueError):
             capacity.mean_identity_check(1.0, -2.0)
+
+    def test_overflow_is_refused_not_failed(self):
+        # a * b * snr * snr overflows above snr 1.34e154: the chain defect would read inf
+        assert capacity.mean_identity_check(1.5, 0.5, 1e154).chain_defect_bits < 1e-12
+        with pytest.raises(ValueError, match="float range"):
+            capacity.mean_identity_check(1.5, 0.5, 1e155)

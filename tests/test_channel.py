@@ -8,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdlsic.channel import (
+    FACTOR_LAYOUT,
     TWO_PI,
     ChannelParams,
     Model,
     SampleMode,
     SnrSpec,
     alpha_from_pdl_db,
+    channel_entries,
+    channel_factors,
     channel_matrix,
     draw_params,
     lattice,
+    lattice_axes,
     pdl_db_from_alpha,
     sample_params,
 )
@@ -164,6 +168,45 @@ class TestMatrices:
             assert np.abs(energy / h.shape[-1] - 1.0).max() < 1e-10
 
 
+def written_out_entries(gamma, theta, phi):
+    """D_gamma @ R_theta (@ B_phi) written out by hand, each entry one rounded product."""
+    c, s = np.cos(theta), np.sin(theta)
+    rp, rm = np.sqrt(1.0 + gamma), np.sqrt(1.0 - gamma)
+    a, b, e, f = rp * c, rp * s, rm * s, rm * c
+    if phi is None:
+        return [[a, -b], [e, f]]
+    cp, sp = np.cos(phi), np.sin(phi)
+    return [
+        [a * cp, -(b * cp), -(a * sp), -(b * sp)],
+        [e * cp, f * cp, -(e * sp), f * sp],
+        [a * sp, b * sp, a * cp, -(b * cp)],
+        [e * sp, -(f * sp), e * cp, f * cp],
+    ]
+
+
+class TestFactors:
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_entries_are_the_products_of_their_factors(self, model, shape):
+        # bit for bit, so channel_matrix and every Monte Carlo report keep their bytes
+        rng = np.random.default_rng(len(shape))
+        gamma = rng.uniform(-0.99, 0.99, shape)
+        theta, phi = rng.uniform(-20.0, 20.0, (2,) + shape)
+        if shape == (7,):  # signed zeros, and theta = pi
+            gamma[:3] = [0.0, -0.0, 0.5]
+            theta[:3], phi[:3] = [0.0, -0.0, math.pi], [-0.0, 0.0, 0.0]
+        phi = phi if model is Model.COMPLEX else None
+        t, p = channel_factors(gamma, theta, phi)
+        entries = channel_entries(gamma, theta, phi)
+        want = written_out_entries(gamma, theta, phi)
+        assert len(entries) == len(FACTOR_LAYOUT[model]) == model.dim
+        for got_row, want_row, layout_row in zip(entries, want, FACTOR_LAYOUT[model]):
+            for got, expect, (sign, u, v) in zip(got_row, want_row, layout_row):
+                product = np.asarray(sign * t[u] * p[v])
+                got, expect = np.asarray(got).tobytes(), np.asarray(expect).tobytes()
+                assert got == product.tobytes() == expect
+
+
 class TestSampling:
     def test_alpha_zero_all_gamma_zero(self):
         for mode in (SampleMode.WORST_CASE_EDGE, SampleMode.UNIFORM_INTERIOR):
@@ -229,6 +272,12 @@ class TestLattice:
         assert grid.theta[0, 0] == 0.0 and grid.theta.max() < TWO_PI
         if model is Model.COMPLEX:
             assert grid.phi.shape == (1, sheet) and grid.phi.max() < TWO_PI
+        # sheet point j is theta j // n_phi and phi j % n_phi of the axes
+        gammas, theta, phi = lattice_axes(alpha, model, n_gamma, n_theta, n_phi)
+        j = np.arange(sheet)
+        assert np.array_equal(grid.gamma[:, 0], gammas)
+        assert np.array_equal(grid.theta[0], theta[j // (1 if phi is None else n_phi)])
+        assert phi is None if model is Model.REAL else np.array_equal(grid.phi[0], phi[j % n_phi])
         # the broadcast fields give the matrices of the whole lattice, point k at [k // S, k % S]
         h = channel_matrix(grid)
         assert h.shape == (n_gamma, sheet, model.dim, model.dim)

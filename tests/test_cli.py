@@ -165,6 +165,18 @@ class TestCurves:
             main(["curves"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["curves"], ["penalties"], ["verify", "--suite", "means"],
+        ["fer", "--snr-db", "10", "--table1", "t1.csv", "--table2", "t2.csv"],
+    ], ids=["curves", "penalties", "verify", "fer"])
+    def test_overflowing_pdl_db_is_usage_error(self, argv, capsys):
+        # 10 ** (3100 / 10) raised an OverflowError past the flag check: a traceback, exit 1
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--pdl-db", "3100"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: " in err and "pdl_db 3100 overflows" in err
+
 
 class TestPenalties:
     def test_reference_values(self, capsys):
@@ -350,11 +362,13 @@ class TestVerify:
             if "--permute" in control:  # the swap keeps both stream groups: only the SIC order breaks
                 assert dev["ZF"] < 1e-9 and dev["LMMSE"] < 1e-9
 
-    @pytest.mark.parametrize("control", [["--precoder", "identity"], ["--permute", "0,2,1,3"]],
-                             ids=["identity", "permuted"])
+    @pytest.mark.parametrize("control", [["--precoder", "identity"], ["--permute", "0,2,1,3"],
+                                         ["--model", "real"], ["--model", "both"]],
+                             ids=["identity", "permuted", "model", "both-models"])
     @pytest.mark.parametrize("suite", ["worst-case", "means"])
     def test_model_free_suite_refuses_controls(self, suite, control, capsys, tmp_path):
-        # worst-case and means build no precoder, so a control would pass unrun
+        # worst-case and means build no precoder and take no model, so a control
+        # would pass unrun and a --model would be ignored
         out = tmp_path / "detail.json"
         code, stdout, err = run_cli(
             ["verify", "--suite", suite, "--alpha", "0.599", *control, "--out", str(out)], capsys
@@ -369,18 +383,21 @@ class TestVerify:
         )
         assert code == 0 and stdout.startswith("PASS means ")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("with_out", [True, False], ids=["out", "stdout"])
     @pytest.mark.parametrize("argv", [
         ["--suite", "means", "--alpha", "0.5", "--snr-db", "1550"],  # snr * snr overflows
         ["--suite", "worst-case", "--alpha", "0.9", "--snr-db", "3080"],  # (1+alpha) * snr does
     ], ids=["means", "worst-case"])
-    def test_non_finite_detail_is_usage_error(self, argv, capsys, tmp_path):
-        # the --out file once held the non-standard JSON constant Infinity
+    def test_non_finite_detail_is_usage_error(self, argv, with_out, capsys, tmp_path):
+        # the --out file once held the non-standard JSON constant Infinity, and
+        # without --out the overflow printed FAIL and exited 1
         out = tmp_path / "detail.json"
-        code, _, err = run_cli(["verify", *argv, "--out", str(out)], capsys)
+        code, stdout, err = run_cli(["verify", *argv, *(["--out", str(out)] if with_out else [])],
+                                    capsys)
         assert code == 2
-        assert not out.exists()
-        assert err.startswith("error: ") and "NaN or Infinity" in err
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: ") and "float range" in err
+        assert "Warning" not in err
 
     def test_closed_form_overflow_is_usage_error(self, capsys, tmp_path):
         # snr**2 in the LMMSE closed form raised an uncaught OverflowError, exit 1
@@ -406,10 +423,17 @@ class TestVerify:
              "--n-beta", "21", "--out", str(out)],
             capsys,
         )
-        payload = json.loads(out.read_text())
-        if suite in ("worst-case", "means"):  # model-free: one verdict, a flat detail
+        if suite in ("worst-case", "means"):  # model-free: refuses --model, else one flat verdict
+            assert code == 2 and stdout == "" and not out.exists()
+            code, stdout, _ = run_cli(
+                ["verify", "--suite", suite, "--alpha", "0.599", "--n-gamma", "5",
+                 "--n-beta", "21", "--out", str(out)],
+                capsys,
+            )
+            payload = json.loads(out.read_text())
             names, verdicts = [suite], [payload["detail"]["passed"]]
         else:
+            payload = json.loads(out.read_text())
             models = ["real", "complex"] if model == "both" else [model]
             names = [f"{suite}[{m}]" for m in models]
             assert list(payload["detail"]) == models
