@@ -12,10 +12,6 @@ it from the shell.
 """
 
 from .capacity import (
-    MeanIdentityReport,
-    PdlPenalties,
-    StarPropertyReport,
-    WorstCaseSearch,
     c_awgn,
     c_compound,
     c_compound_approx,
@@ -44,7 +40,6 @@ from .channel import (
 from .equalize import (
     SingularChannelError,
     StreamScheme,
-    StreamStats,
     cancel_first_group,
     closed_form_stream_snr,
     first_stage_equalizer,
@@ -55,26 +50,20 @@ from .equalize import (
     zf_equalizer,
 )
 from .linkbudget import (
-    CodePoint,
     FerPoint,
     FerTable,
     FerTableError,
-    OperatingPoint,
     SnrOutOfRangeError,
     evaluate_operating_point,
 )
 from .montecarlo import (
-    EmpiricalStats,
     Scheme,
-    SerStats,
     SimConfig,
-    SimReport,
     run,
     ser_pam_awgn,
 )
 from .precode import (
     EffectiveChannel,
-    OrthogonalDesignReport,
     Precoder,
     effective_channel,
     identity_precoder,

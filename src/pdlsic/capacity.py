@@ -40,6 +40,10 @@ GRID_N_PHI = 64
 
 STAR_TOL_BITS = 1e-9
 
+#: Lattice points per slab of :func:`verify_star_property`: one complex sheet
+#: of the default grid, whose Gram buffer takes 2 MiB.
+SLAB = 16384
+
 
 def c_awgn(snr):
     """Real scalar AWGN capacity C(snr) = 0.5*log2(1+snr), bits per real dimension."""
@@ -276,15 +280,17 @@ def _gram_plan(precoder: Precoder) -> tuple:
     return list(zip(tu[keep], tx[keep])), list(zip(pv, py)), c[:, :, keep]
 
 
-def _gram(gamma: float, theta, phi, plan: tuple, out: np.ndarray) -> np.ndarray:
-    """H^T H over one sheet, the ``theta`` axis x the ``phi`` axis (None: real), at ``gamma``.
+def _gram(gamma, theta, phi, plan: tuple, out: np.ndarray) -> np.ndarray:
+    """H^T H over a slab: R (gamma, theta) rows x the ``phi`` axis (None: real).
 
-    Each Gram entry over the sheet is the rank-T product of a ``(n_theta, T)``
-    theta-factor and a ``(T, n_phi)`` phi-factor from :func:`_gram_plan`, one
-    batched matmul per Gram row.  Only the upper triangle is written, entry
-    major into ``out`` of shape ``(n, n, S)``; the lower triangle is left as
-    it was.  Returns the ``(S, n, n)`` view, sheet point j at theta ``j //
-    n_phi`` and phi ``j % n_phi``.
+    ``gamma`` and ``theta`` are paired ``(R,)`` arrays, row r at ``(gamma[r],
+    theta[r])``.  Each Gram entry over the slab is the rank-T product of an
+    ``(R, T)`` row factor and a ``(T, n_phi)`` phi-factor from
+    :func:`_gram_plan`, one batched matmul per Gram row.  Only the upper
+    triangle is written, entry major into the contiguous ``out`` of shape
+    ``(n, n, S)``, S = R * n_phi; the lower triangle is left as it was.
+    Returns the ``(S, n, n)`` view, slab point j at row ``j // n_phi`` and phi
+    ``j % n_phi``.
     """
     t_pairs, p_pairs, coef = plan
     t, p = channel_factors(gamma, theta, phi)
@@ -307,12 +313,17 @@ def verify_star_property(
 ) -> StarPropertyReport:
     """Grid oracle for the precoder property that SIC order does not lose rate.
 
-    Evaluates, over :func:`~pdlsic.channel.lattice` one sheet per gamma (the
-    theta axis x the phi axis, point j at theta ``j // n_phi`` and phi ``j %
-    n_phi``), the minimum of the sum of successive per-stream capacities
-    against the sum of the per-stream minima.  Every lattice point gets its
-    own Gram and :func:`successive_stream_snrs`.  The left side equals twice
-    the compound capacity for any orthogonal precoder (chain rule); the
+    Evaluates, over :func:`~pdlsic.channel.lattice`, the minimum of the sum of
+    successive per-stream capacities against the sum of the per-stream
+    minima.  Every lattice point gets its own Gram and
+    :func:`successive_stream_snrs`, a slab at a time.  A slab is a run of
+    (gamma, theta) rows x the phi axis, the rows of as many whole sheets at
+    consecutive gammas as fit in :data:`SLAB` points, and at least one, so no
+    sheet is split: 64 real sheets or one complex sheet at the default sizes.
+    Point j of the slab from gamma g0 is at gamma ``g0 + j // (n_theta *
+    n_phi)``, theta ``j // n_phi % n_theta`` and phi ``j % n_phi``.  The
+    running minima keep the first point in grid order.  The left side equals
+    twice the compound capacity for any orthogonal precoder (chain rule); the
     right side reaches it only for a correct precoder and stream order.
     gap >= 0 always, and a pass means the two sides agree to
     ``STAR_TOL_BITS`` bits per real dimension.  The report names the lattice
@@ -320,31 +331,37 @@ def verify_star_property(
     """
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr before any grid work
     gammas, theta, phi = lattice_axes(alpha, precoder.model, n_gamma, n_theta, n_phi)
-    n_phi = 1 if phi is None else len(phi)
+    n_theta, n_phi = len(theta), 1 if phi is None else len(phi)
+    sheet = n_theta * n_phi
+    per_slab = min(max(1, SLAB // sheet), len(gammas))  # sheets per slab
     plan = _gram_plan(precoder)
     n = precoder.n_streams
-    gram = np.empty((n, n, len(theta) * n_phi))  # one buffer for every sheet
+    buf = np.empty(n * n * per_slab * sheet)  # one buffer for every slab
 
-    def point(g, j) -> ChannelParams:
-        return ChannelParams(float(g), float(theta[j // n_phi]),
+    def point(g0, j) -> ChannelParams:
+        return ChannelParams(float(gammas[g0 + j // sheet]), float(theta[j // n_phi % n_theta]),
                              None if phi is None else float(phi[j % n_phi]))
 
     lhs = np.inf
     lhs_at = None
     min_snrs = np.full(n, np.inf)
     min_at = [None] * n
-    for g in gammas:
+    for g0 in range(0, len(gammas), per_slab):
+        g = gammas[g0 : g0 + per_slab]
+        size = len(g) * sheet
+        gram = _gram(np.repeat(g, n_theta), np.tile(theta, len(g)), phi, plan,
+                     buf[: n * n * size].reshape(n, n, size))
         # (n, S): one contiguous row per stream
-        snrs = successive_stream_snrs(_gram(g, theta, phi, plan, gram), snr).T
-        sums = np.zeros(snrs.shape[1])
+        snrs = successive_stream_snrs(gram, snr).T
+        sums = np.zeros(size)
         for i, row in enumerate(snrs):
             sums += np.log2(1.0 + row)
             k = int(row.argmin())
             if row[k] < min_snrs[i]:
-                min_snrs[i], min_at[i] = row[k], point(g, k)
+                min_snrs[i], min_at[i] = row[k], point(g0, k)
         j = int(sums.argmin())
         if 0.5 * sums[j] < lhs:
-            lhs, lhs_at = 0.5 * float(sums[j]), point(g, j)
+            lhs, lhs_at = 0.5 * float(sums[j]), point(g0, j)
     rhs = float(np.sum(0.5 * np.log2(1.0 + min_snrs)))
     return StarPropertyReport(
         lhs_bits=lhs / n,

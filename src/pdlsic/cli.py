@@ -14,6 +14,7 @@ failure, 2 usage or format error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -422,8 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The :func:`build_parser` parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one ``pdlsic`` command line and return its exit code.
+
+    Every call in a process parses with one parser, built by the first; a
+    parse leaves no state in it, so each call sees only its own ``argv``.
+    """
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "pdl_db", None) is not None:

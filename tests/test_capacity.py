@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdlsic import capacity
-from pdlsic.channel import ChannelParams, Model, SnrSpec, lattice
+from pdlsic.channel import ChannelParams, Model, SnrSpec, lattice, lattice_axes
 from pdlsic.equalize import _statistics, lmmse_equalizer, stream_statistics
 from pdlsic.precode import (
     Precoder,
@@ -330,6 +330,71 @@ class TestStarProperty:
                 e = sub.T @ np.linalg.inv(sub @ sub.T + np.eye(h.shape[0]) / 20.0)
                 ref = _statistics(sub, e, 20.0).snr_per_stream[0]
                 assert succ[i] == pytest.approx(ref, rel=1e-10)
+
+
+class TestSlabs:
+    """Where the slab bound falls moves neither the report nor the lattice points it names."""
+
+    GRID = {"n_gamma": 7, "n_theta": 16, "n_phi": 8}
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("control", ["universal", "identity", "permuted", "random"])
+    @pytest.mark.parametrize("slab", ["theta-row", "mid-run", "default"])
+    def test_slab_bound_keeps_the_report(self, model, control, slab, monkeypatch):
+        pre = identity_precoder(model) if control == "identity" else UNIVERSAL[model]
+        n = pre.n_streams
+        if control == "permuted":
+            pre = permute_columns(pre, (0, 2, 1, 3) + tuple(range(4, n)))
+        if control == "random":  # minima off |gamma| = alpha, in later slabs
+            pre = Precoder(np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))[0], model)
+        alpha, snr = 0.7, 20.0
+        ref = capacity.verify_star_property(pre, alpha, snr, **self.GRID)  # one slab
+        gammas, theta, phi = lattice_axes(alpha, model, **self.GRID)
+        n_phi = 1 if phi is None else len(phi)
+        sheet = len(theta) * n_phi
+        # one theta row, or 2.5 sheets: the bound ends mid-way through the third sheet
+        bound = {"theta-row": n_phi, "mid-run": 5 * sheet // 2, "default": capacity.SLAB}[slab]
+        monkeypatch.setattr(capacity, "SLAB", bound)
+        rep = capacity.verify_star_property(pre, alpha, snr, **self.GRID)
+        eps = np.finfo(float).eps
+        assert abs(rep.lhs_bits - ref.lhs_bits) <= 4 * eps * max(1.0, ref.lhs_bits)
+        assert abs(rep.rhs_bits - ref.rhs_bits) <= 4 * eps * max(1.0, ref.rhs_bits)
+        assert np.all(np.abs(rep.min_stream_snrs / ref.min_stream_snrs - 1.0) <= 4 * eps)
+
+        # each named point is a lattice point, and the lattice reference attains the
+        # reported minimum there: the rate sum within 4 eps, a stream within the kernel bound
+        grid = lattice(alpha, model, **self.GRID)
+        g = gram(effective_channel(grid, pre, SnrSpec(snr)).matrix).reshape(-1, n, n)
+        snrs = capacity.successive_stream_snrs(g, snr)
+        rates = (0.5 * np.log2(1.0 + snrs)).sum(axis=1) / n
+        tol = 16 * eps * snr * np.diagonal(g, axis1=1, axis2=2).max(axis=0) / snrs.min(axis=0)
+
+        def index(p):
+            (gi,), (ti,) = np.flatnonzero(gammas == p.gamma), np.flatnonzero(theta == p.theta)
+            (pi,) = [0] if phi is None else np.flatnonzero(phi == p.phi)
+            return (gi * len(theta) + ti) * n_phi + pi
+
+        assert abs(rates[index(rep.lhs_point)] - rep.lhs_bits) <= 4 * eps * max(1.0, rep.lhs_bits)
+        for i, p in enumerate(rep.min_stream_points):
+            assert abs(snrs[index(p), i] / rep.min_stream_snrs[i] - 1.0) <= tol[i]
+
+    @pytest.mark.parametrize(("model", "calls"), [
+        (Model.REAL, math.ceil(201 * 256 / capacity.SLAB)),  # 64 real sheets a slab
+        (Model.COMPLEX, 201),  # one complex sheet a slab
+    ])
+    def test_default_grid_kernel_calls(self, model, calls, monkeypatch):
+        sizes = []
+        kernel = capacity.successive_stream_snrs
+
+        def counting(gram, snr):
+            sizes.append(gram.shape[0])
+            return kernel(gram, snr)
+
+        monkeypatch.setattr(capacity, "successive_stream_snrs", counting)
+        rep = capacity.verify_star_property(UNIVERSAL[model], 0.599, 20.0)
+        assert rep.passed
+        assert len(sizes) == calls
+        assert sum(sizes) == 201 * 256 * (64 if model is Model.COMPLEX else 1)
 
 
 class TestSuccessiveStreamSnrs:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pdlsic import capacity
+from pdlsic import capacity, cli
 from pdlsic.cli import CURVE_CHUNK_ROWS, CURVE_COLUMNS, main
 
 
@@ -671,6 +671,60 @@ class TestSimulate:
         code, out, _ = run_cli(["simulate", "--config", str(cfg_path)], capsys)
         assert code == 0
         assert json.loads(out)["config"]["alpha"] == 0.599
+
+
+STAR = ["verify", "--suite", "star-property", "--alpha", "0.599", "--n-gamma", "3"]
+
+
+class TestParserReuse:
+    """Every main call in a process parses with one parser, and no call leaves state in it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count the parsers built; the first main call afterwards builds one."""
+        count = []
+        build = cli.build_parser
+
+        def counting():
+            count.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        yield count
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(("first", "first_code", "second"), [
+        (["curves", "--alpha", "0.5", "--pdl-db", "6"], 2, ["penalties", "--alpha", "0.599"]),
+        (["penalties", "--alpha", "1.5"], 2, ["penalties", "--alpha", "0.599"]),
+        ([*STAR, "--model", "real", "--permute", "0,2,1,3"], 1, STAR),
+        (["penalties", "--pdl-db", "6"], 0, ["penalties", "--alpha", "0.3"]),
+        (["curves", "--alpha", "0.5", "--snr-db-max", "1"], 0,
+         ["verify", "--suite", "means", "--alpha", "0.5"]),
+    ], ids=["usage-error", "bad-alpha", "control", "pdl-db", "curves-then-verify"])
+    def test_a_call_sees_only_its_own_flags(self, first, first_code, second, builds, capsys):
+        alone = self.outcome(second, capsys)  # the first call on a fresh parser
+        assert self.outcome(first, capsys)[0] == first_code
+        assert self.outcome(second, capsys) == alone
+        assert alone[0] == 0
+        assert len(builds) == 1  # three calls, one parser
+
+    def test_control_flags_do_not_outlive_their_call(self, builds, capsys):
+        self.outcome([*STAR, "--model", "real", "--permute", "0,2,1,3"], capsys)
+        code, out, _ = self.outcome(STAR, capsys)
+        # the universal precoder, on both models
+        assert code == 0
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            ["PASS", "star-property[real]"], ["PASS", "star-property[complex]"]]
 
 
 class TestFer:
