@@ -38,7 +38,6 @@ from .channel import (
     validate_alpha,
 )
 from .equalize import (
-    SingularChannelError,
     StreamScheme,
     cancel_first_group,
     closed_form_stream_snr,

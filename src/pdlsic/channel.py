@@ -173,26 +173,19 @@ def channel_factors(gamma, theta, phi=None) -> tuple[tuple, tuple]:
     return t, (1.0,) if phi is None else (np.cos(phi), np.sin(phi))
 
 
-def channel_entries(gamma, theta, phi=None) -> list[list]:
-    """Entries of :func:`channel_matrix` from ChannelParams fields; ``rows[i][j]`` is entry (i, j).
-
-    Each is the product of its :func:`channel_factors`, negated after rounding.
-    """
-    t, p = channel_factors(gamma, theta, phi)
-    layout = FACTOR_LAYOUT[Model.REAL if phi is None else Model.COMPLEX]
-    return [[t[u] * p[v] if sign > 0 else -(t[u] * p[v]) for sign, u, v in row] for row in layout]
-
-
 def channel_matrix(params: ChannelParams) -> np.ndarray:
     """Single-use matrix D_gamma @ R_theta (real) or D_gamma @ R_theta @ B_phi (complex).
 
-    Written entry by entry, so array-valued params give a ``(..., d, d)``
+    Written entry by entry, each the product of its :func:`channel_factors`
+    negated after rounding, so array-valued params give a ``(..., d, d)``
     stack over the broadcast shape of the fields.  The complex layout puts
     real parts in entries 1-2 and imaginary parts in 3-4, so the matrix is
     the real representation [[A, -B], [B, A]] of the complex 2x2 channel A + iB.
     """
+    t, p = channel_factors(params.gamma, params.theta, params.phi)
     # (d, d, *batch); move the matrix axes last
-    entries = np.array(channel_entries(params.gamma, params.theta, params.phi))
+    entries = np.array([[t[u] * p[v] if sign > 0 else -(t[u] * p[v]) for sign, u, v in row]
+                        for row in FACTOR_LAYOUT[params.model]])
     entries = entries.transpose(tuple(range(2, entries.ndim)) + (0, 1))
     return np.ascontiguousarray(entries)
 

@@ -52,7 +52,7 @@ from .equalize import (
     first_stage_equalizer,
     post_sic_streams,
 )
-from .precode import effective_channel, universal_precoder
+from .precode import EffectiveChannel, effective_channel, universal_precoder
 
 #: Elements per chunk array of the per-block symbols or noise (a Gaussian
 #: draw of both is twice that): blocks of equal length are simulated C at a
@@ -440,17 +440,17 @@ class _StageSums:
 
 
 def _channels(config: SimConfig, params: ChannelParams, precoder, blocks: range):
-    """The channel H, first-stage equalizer E and diag(E @ H) of the given blocks."""
+    """The channel H, first-stage equalizer E and diag(E @ H) of the given blocks.
+
+    H is the channel matrix (NoPrecode-ZF) or the precoded effective channel;
+    every scheme takes E from :func:`~pdlsic.equalize.first_stage_equalizer`.
+    """
     phi = None if params.phi is None else params.phi[blocks.start:blocks.stop]
     chunk = ChannelParams(params.gamma[blocks.start:blocks.stop],
                           params.theta[blocks.start:blocks.stop], phi)
-    if precoder is None:
-        h = channel_matrix(chunk)
-        # unguarded: |g| < 1 gives cond(h) = sqrt((1+|g|)/(1-|g|)) <= 1.4e8 < CONDITION_LIMIT
-        e = np.linalg.inv(h)
-    else:
-        eff = effective_channel(chunk, precoder, config.snr)
-        h, e = eff.matrix, first_stage_equalizer(eff, config.scheme.first_stage)
+    eff = (EffectiveChannel(channel_matrix(chunk), config.snr) if precoder is None
+           else effective_channel(chunk, precoder, config.snr))
+    h, e = eff.matrix, first_stage_equalizer(eff, config.scheme.first_stage)
     return h, e, np.diagonal(e @ h, axis1=-2, axis2=-1)[..., None]
 
 

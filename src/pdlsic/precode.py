@@ -108,7 +108,7 @@ def permute_columns(precoder: Precoder, order: list[int] | tuple[int, ...]) -> P
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """Two-use effective channel H = blockdiag(M, M) @ G with its SNR."""
+    """Channel H with its SNR: the two-use blockdiag(M, M) @ G, or a bare M without precoding."""
 
     matrix: np.ndarray
     snr: SnrSpec

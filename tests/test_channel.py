@@ -15,7 +15,6 @@ from pdlsic.channel import (
     SampleMode,
     SnrSpec,
     alpha_from_pdl_db,
-    channel_entries,
     channel_factors,
     channel_matrix,
     draw_params,
@@ -195,15 +194,16 @@ class TestFactors:
         if shape == (7,):  # signed zeros, and theta = pi
             gamma[:3] = [0.0, -0.0, 0.5]
             theta[:3], phi[:3] = [0.0, -0.0, math.pi], [-0.0, 0.0, 0.0]
-        phi = phi if model is Model.COMPLEX else None
-        t, p = channel_factors(gamma, theta, phi)
-        entries = channel_entries(gamma, theta, phi)
-        want = written_out_entries(gamma, theta, phi)
-        assert len(entries) == len(FACTOR_LAYOUT[model]) == model.dim
-        for got_row, want_row, layout_row in zip(entries, want, FACTOR_LAYOUT[model]):
-            for got, expect, (sign, u, v) in zip(got_row, want_row, layout_row):
+        params = ChannelParams(gamma, theta, phi if model is Model.COMPLEX else None)
+        t, p = channel_factors(params.gamma, params.theta, params.phi)
+        want = written_out_entries(params.gamma, params.theta, params.phi)
+        matrix = channel_matrix(params)
+        assert matrix.shape == shape + (model.dim, model.dim)
+        assert len(FACTOR_LAYOUT[model]) == model.dim
+        for i, (want_row, layout_row) in enumerate(zip(want, FACTOR_LAYOUT[model])):
+            for j, (expect, (sign, u, v)) in enumerate(zip(want_row, layout_row)):
                 product = np.asarray(sign * t[u] * p[v])
-                got, expect = np.asarray(got).tobytes(), np.asarray(expect).tobytes()
+                got, expect = matrix[..., i, j].tobytes(), np.asarray(expect).tobytes()
                 assert got == product.tobytes() == expect
 
 

@@ -220,6 +220,15 @@ class TestVerify:
         assert code == 0
         assert stdout.startswith("PASS")
 
+    @pytest.mark.parametrize("snr_db", ["-80", "-100", "-160"])
+    def test_worst_case_suite_at_low_snr(self, snr_db, capsys):
+        # rates here are below 1e-8 bits, so rounding 1 + s would read extremal=False or beta*=0
+        code, stdout, _ = run_cli(
+            ["verify", "--suite", "worst-case", "--alpha", "0.9", "--snr-db", snr_db], capsys
+        )
+        assert code == 0
+        assert stdout.startswith("PASS worst-case beta*=0.5 extremal=True ")
+
     def test_star_property_universal_precoder(self, capsys):
         code, stdout, _ = run_cli(
             ["verify", "--suite", "star-property", "--alpha", "0.599", "--model", "real",

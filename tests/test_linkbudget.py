@@ -26,7 +26,8 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 
 def write_table(path, rows, header="snr_db,fer,rate_bits_per_real_dim,label"):
     lines = [header] + rows
-    path.write_text("\n".join(lines) + "\n")
+    # a lone surrogate drawn into a cell reaches the file as invalid UTF-8
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogatepass")
     return path
 
 
@@ -96,6 +97,16 @@ class TestFerTable:
         code = main(["fer", "--alpha", "0.599", "--snr-db", "13.01", "--table1", str(path),
                      "--table2", str(DATA / "fer_code2_16ask_pas.csv")])
         assert code == 2 and "decimal" in capsys.readouterr().err
+
+    def test_rejects_invalid_utf8(self, tmp_path, capsys):
+        # the lone surrogate is written as the bytes ED A0 80, which no UTF-8 reader accepts
+        path = write_table(tmp_path / "t.csv", ["10,1e-2,1.5,\ud800"])
+        with pytest.raises(FerTableError, match="cannot parse"):
+            FerTable.from_csv(path)
+        code = main(["fer", "--alpha", "0.599", "--snr-db", "13.01", "--table1", str(path),
+                     "--table2", str(DATA / "fer_code2_16ask_pas.csv")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "error" in captured.err
 
     def test_reads_plain_decimal_forms(self, tmp_path):
         rows = ["+10,1.2e-3,1.5,a", "11.,1E+0,1.5,a", " 12.5 ,\t.5e-1,2,a", "-13,0.0,1.5e0,a"]

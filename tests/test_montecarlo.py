@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pdlsic import capacity, montecarlo
-from pdlsic.channel import Model, SampleMode, SnrSpec, lattice
+from pdlsic.channel import Model, SampleMode, SnrSpec, channel_matrix, lattice
 from pdlsic.equalize import StreamScheme, closed_form_stream_snr
 from pdlsic.montecarlo import (
     Scheme,
@@ -25,6 +25,7 @@ from pdlsic.montecarlo import (
     run,
     ser_pam_awgn,
 )
+from pdlsic.precode import universal_precoder
 
 
 def config(**overrides):
@@ -196,6 +197,24 @@ class TestChunking:
         monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 4 * 64)
         assert run(cfg).to_json() == default
         assert built == [range(0, 4), range(4, 6)]
+
+
+class TestChannels:
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("scheme", [Scheme.ZF, Scheme.ZF_SIC, Scheme.NOPRECODE_ZF])
+    def test_zf_schemes_equalize_by_the_bare_inverse(self, model, scheme):
+        # with or without a precoder, a ZF first stage is np.linalg.inv of the block channels
+        cfg = config(model=model, scheme=scheme, alpha=0.999999,
+                     param_mode=SampleMode.UNIFORM_INTERIOR, trials=60, block_size=1)
+        params = _block_params(cfg, 7)
+        precoder = universal_precoder(model) if scheme.uses_precoder else None
+        h, e, lam = montecarlo._channels(cfg, params, precoder, range(5, 60))
+        n = model.dim * (2 if scheme.uses_precoder else 1)
+        assert h.shape == e.shape == (55, n, n)
+        if precoder is None:
+            assert h.tobytes() == channel_matrix(params)[5:].tobytes()
+        assert e.tobytes() == np.linalg.inv(h).tobytes()
+        assert lam.tobytes() == np.diagonal(e @ h, axis1=-2, axis2=-1)[..., None].tobytes()
 
 
 def per_block_jackknife(num, den):

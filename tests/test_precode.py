@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdlsic.channel import TWO_PI, ChannelParams, Model, SnrSpec, lattice
-from pdlsic.equalize import CONDITION_LIMIT
 from pdlsic.precode import (
     Precoder,
     effective_channel,
@@ -148,14 +147,27 @@ class TestOrthogonalDesign:
         magnitude=st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
         theta=st.floats(0.0, TWO_PI, exclude_max=True),
         phi=st.floats(0.0, TWO_PI, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_certifies_as_gamma_nears_one(self, model, sign, magnitude, theta, phi):
-        # the channel's condition number grows as 1/sqrt(1 - |gamma|), to about 1.4e6 here,
-        # still far inside the equalizers' guard; the design must hold to 1e-10 all the way
+    @example(Model.REAL, 1.0, np.nextafter(1.0, 0.0), 1.0, 0.0, 0)
+    @example(Model.COMPLEX, -1.0, np.nextafter(1.0, 0.0), 2.0, 3.0, 1)
+    def test_certifies_as_gamma_nears_one(self, model, sign, magnitude, theta, phi, seed):
+        # the design must hold to 1e-10 all the way; any orthogonal precoder keeps the
+        # channel's condition number sqrt((1+|gamma|)/(1-|gamma|)), at most 1.4e8 at the
+        # largest float below 1, so the ZF inverse of every channel of the class exists
         params = ChannelParams(sign * magnitude, theta, phi if model is Model.COMPLEX else None)
-        eff = effective_channel(params, universal_precoder(model), SNR)
-        assert np.linalg.cond(eff.matrix) < CONDITION_LIMIT
+        universal = universal_precoder(model)
+        eff = effective_channel(params, universal, SNR)
         assert design_defect(verify_orthogonal_design(eff)) < 1e-10
+        rng = np.random.default_rng(seed)
+        n = 2 * model.dim
+        precoders = (universal, identity_precoder(model),
+                     permute_columns(universal, rng.permutation(n)),
+                     Precoder(np.linalg.qr(rng.normal(size=(n, n)))[0], model))
+        cond = math.sqrt((1.0 + magnitude) / (1.0 - magnitude))
+        for pre in precoders:
+            got = np.linalg.cond(effective_channel(params, pre, SNR).matrix)
+            assert got == pytest.approx(cond, rel=1e-6)
 
     def test_identity_precoder_fails(self):
         eff = effective_channel(
