@@ -218,21 +218,36 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
     the bound: near |gamma| = 1 (1 - 1e-6) the ``--permute 0,2,1,3`` negative
     control reached 5.2e3x eps*snr*Gram_ii/SNR_i, so its reported stream
     minimum there carries that much error.
+
+    Zeros: an entry U_ki that is 0.0 at every point of the stack is kept as
+    None and never formed, and every product term with a None factor is
+    skipped.  U_ki is None when Gram_ki is 0.0 on the whole stack and none of
+    its product terms has two formed factors; the stack is read, nothing is
+    assumed of the precoder.  The complex universal precoder leaves 16 of the
+    36 upper-triangle Gram entries 0.0 everywhere, and 10 of the 28 U_ki
+    stay None.  The SNRs keep every bit of the dense recurrence: x - 0*y = x
+    for finite y, and a zero whose sign could differ only ever reaches a
+    square.
     """
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr
     gram = np.asarray(gram, float)
     n = gram.shape[-1]
-    u = [[None] * n for _ in range(n)]  # u[k][i] = U_ki for k < i
+    u = [[None] * n for _ in range(n)]  # u[k][i] = U_ki for k < i; None: 0.0 on the whole stack
     out = np.empty((n,) + gram.shape[:-2])  # entry major: stream i's SNRs contiguous
     for i in range(n - 1, -1, -1):
         schur = np.multiply(snr, gram[..., i, i], out=out[i, ...])
         for j in range(i + 1, n):
-            schur -= u[i][j] ** 2
+            if u[i][j] is not None:
+                schur -= u[i][j] ** 2
         pivot = np.sqrt(schur + 1.0)
         for k in range(i):
+            terms = [(u[k][j], u[i][j]) for j in range(i + 1, n)
+                     if u[k][j] is not None and u[i][j] is not None]
+            if not terms and not gram[..., k, i].any():
+                continue
             x = snr * gram[..., k, i]
-            for j in range(i + 1, n):
-                x -= u[k][j] * u[i][j]
+            for a, b in terms:
+                x -= a * b
             x /= pivot
             u[k][i] = x
     return np.moveaxis(out, 0, -1)

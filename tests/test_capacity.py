@@ -44,6 +44,25 @@ def cholesky_stream_snrs(gram, snr):
     return pivots**2 - 1.0
 
 
+def dense_stream_snrs(gram, snr):
+    """The Schur-form reverse Cholesky of :func:`capacity.successive_stream_snrs`, every entry formed."""
+    n = gram.shape[-1]
+    u = [[None] * n for _ in range(n)]
+    out = np.empty((n,) + gram.shape[:-2])
+    for i in range(n - 1, -1, -1):
+        schur = np.multiply(snr, gram[..., i, i], out=out[i, ...])
+        for j in range(i + 1, n):
+            schur -= u[i][j] ** 2
+        pivot = np.sqrt(schur + 1.0)
+        for k in range(i):
+            x = snr * gram[..., k, i]
+            for j in range(i + 1, n):
+                x -= u[k][j] * u[i][j]
+            x /= pivot
+            u[k][i] = x
+    return np.moveaxis(out, 0, -1)
+
+
 def exact_stream_snrs(gram, snr):
     """1/[(I + snr * Gram)[i:, i:]^-1]_00 - 1 in 50-digit arithmetic, for one float Gram taken as exact."""
     n = gram.shape[-1]
@@ -68,6 +87,43 @@ def random_grams(draw):
     theta = rng.uniform(0.0, 2 * math.pi, b)
     phi = rng.uniform(0.0, 2 * math.pi, b) if model is Model.COMPLEX else None
     return grams(ChannelParams(np.array(gamma), theta, phi), Precoder(q, model))
+
+
+def sheet_gram(precoder: Precoder, gamma, theta, phi) -> np.ndarray:
+    """The star oracle's ``(S, n, n)`` Gram over (gamma, theta) rows x the phi axis."""
+    n, n_phi = precoder.n_streams, 1 if phi is None else len(phi)
+    out = np.zeros((n, n, len(theta) * n_phi))
+    return capacity._gram(gamma, theta, phi, capacity._gram_plan(precoder), out)
+
+
+@st.composite
+def sheet_grams(draw):
+    """Oracle Gram stacks with 0-2 leading axes, of a universal, identity, column-permuted,
+    signed-permutation or random (QR) orthogonal precoder.
+
+    All but the last have Gram entries that are 0.0 at every point and kernel
+    entries that fill in; theta 0 adds entries that are 0.0 at some points only.
+    """
+    model = draw(st.sampled_from(Model))
+    n = 2 * model.dim
+    kind = draw(st.sampled_from(["universal", "identity", "permuted", "signed", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pre = {
+        "universal": lambda: UNIVERSAL[model],
+        "identity": lambda: identity_precoder(model),
+        "permuted": lambda: permute_columns(UNIVERSAL[model], tuple(rng.permutation(n))),
+        "signed": lambda: Precoder(np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n),
+                                   model),
+        "random": lambda: Precoder(np.linalg.qr(rng.normal(size=(n, n)))[0], model),
+    }[kind]()
+    rows = draw(st.integers(1, 4))
+    gamma = np.array(draw(st.lists(st.floats(-0.999999, 0.999999), min_size=rows, max_size=rows)))
+    theta = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2 * math.pi)),
+                                   min_size=rows, max_size=rows)))
+    phi = None if model is Model.REAL else rng.uniform(0.0, 2 * math.pi, draw(st.integers(1, 3)))
+    g = sheet_gram(pre, gamma, theta, phi)
+    axes = draw(st.sampled_from([(), (len(g),), (rows, len(g) // rows)]))
+    return g[0] if axes == () else g.reshape(*axes, n, n)
 
 
 class TestAwgn:
@@ -446,6 +502,24 @@ class TestSuccessiveStreamSnrs:
         gram = grams(ChannelParams(0.5, 1.0), precoder_real())
         with pytest.raises(ValueError):
             capacity.successive_stream_snrs(gram, bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sheet_grams(), st.floats(1e-6, 1e8))
+    def test_skipping_zeros_keeps_every_bit(self, gram, snr):
+        assert np.array_equal(capacity.successive_stream_snrs(gram, snr),
+                              dense_stream_snrs(gram, snr))
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_keeps_an_entry_that_is_zero_at_some_points_only(self, model):
+        # identity precoder: the sheet Gram is diagonal at theta 0 and not at theta 1
+        phi = None if model is Model.REAL else np.array([0.3, 2.0])
+        gram = sheet_gram(identity_precoder(model), np.array([0.5, 0.5]), np.array([0.0, 1.0]), phi)
+        n = gram.shape[-1]
+        partly = [(k, i) for k, i in zip(*np.triu_indices(n, 1))
+                  if gram[0, k, i] == 0.0 and gram[:, k, i].any()]
+        assert partly
+        assert np.array_equal(capacity.successive_stream_snrs(gram, 20.0),
+                              dense_stream_snrs(gram, 20.0))
 
     def test_reads_only_the_upper_triangle(self):
         # why the Gram must be symmetric: the factorization of the reversed
