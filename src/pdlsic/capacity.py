@@ -40,6 +40,9 @@ GRID_N_PHI = 64
 
 STAR_TOL_BITS = 1e-9
 
+# Bits per real dimension in one nat of ln(1 + snr): C(snr) = _BITS_PER_NAT * log1p(snr).
+_BITS_PER_NAT = 0.5 / math.log(2.0)
+
 #: Lattice points per slab of :func:`verify_star_property`: one complex sheet
 #: of the default grid, whose Gram buffer takes 2 MiB.
 SLAB = 16384
@@ -53,7 +56,7 @@ def c_awgn(snr):
     s = np.asarray(snr, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("snr must be non-negative")
-    out = (0.5 / math.log(2.0)) * np.log1p(s)
+    out = _BITS_PER_NAT * np.log1p(s)
     return float(out) if np.isscalar(snr) or s.ndim == 0 else out
 
 
@@ -343,7 +346,10 @@ def verify_star_property(
     running minima keep the first point in grid order.  The left side equals
     twice the compound capacity for any orthogonal precoder (chain rule); the
     right side reaches it only for a correct precoder and stream order.
-    gap >= 0 always, and a pass means the two sides agree to
+    Both sides sum log1p of the stream SNRs in stream order and scale by
+    0.5/ln 2 once, so no side loses eps/SNR relative at low SNR as
+    log2(1 + SNR) would.  As log1p, float addition and the scaling are
+    monotone, gap >= 0 always, in floats too.  A pass means the two sides agree to
     ``STAR_TOL_BITS`` bits per real dimension.  The report names the lattice
     point of the left side's minimum and of each stream's minimum.
     """
@@ -360,7 +366,7 @@ def verify_star_property(
         return ChannelParams(float(gammas[g0 + j // sheet]), float(theta[j // n_phi % n_theta]),
                              None if phi is None else float(phi[j % n_phi]))
 
-    lhs = np.inf
+    lhs = np.inf  # nats: the minimum over the grid of sum_i log1p(SNR_i)
     lhs_at = None
     min_snrs = np.full(n, np.inf)
     min_at = [None] * n
@@ -373,14 +379,17 @@ def verify_star_property(
         snrs = successive_stream_snrs(gram, snr).T
         sums = np.zeros(size)
         for i, row in enumerate(snrs):
-            sums += np.log2(1.0 + row)
+            sums += np.log1p(row)
             k = int(row.argmin())
             if row[k] < min_snrs[i]:
                 min_snrs[i], min_at[i] = row[k], point(g0, k)
         j = int(sums.argmin())
-        if 0.5 * sums[j] < lhs:
-            lhs, lhs_at = 0.5 * float(sums[j]), point(g0, j)
-    rhs = float(np.sum(0.5 * np.log2(1.0 + min_snrs)))
+        if sums[j] < lhs:
+            lhs, lhs_at = float(sums[j]), point(g0, j)
+    rhs = 0.0  # the same sum in the same order, of the minima: rhs <= lhs
+    for v in np.log1p(min_snrs):
+        rhs += float(v)
+    lhs, rhs = _BITS_PER_NAT * lhs, _BITS_PER_NAT * rhs
     return StarPropertyReport(
         lhs_bits=lhs / n,
         rhs_bits=rhs / n,

@@ -303,15 +303,36 @@ class TestStarProperty:
         assert not rep.passed
         assert rep.gap_bits > 0.01
 
-    def test_gap_nonnegative(self):
-        rng = np.random.default_rng(0)
-        # random orthogonal precoders: gap can be anything >= 0
-        for _ in range(5):
-            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-            rep = capacity.verify_star_property(
-                Precoder(q, Model.REAL), 0.4, 10.0, n_gamma=11, n_theta=8
-            )
-            assert rep.gap_bits >= -1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(list(Model)),
+        st.sampled_from(["universal", "identity", "permuted", "random"]),
+        st.floats(0.0, 0.999999),
+        st.floats(-14.0, 6.0).map(lambda e: 10.0**e),
+        st.integers(1, 5), st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1),
+    )
+    def test_gap_nonnegative(self, model, control, alpha, snr, n_gamma, n_theta, n_phi, seed):
+        # both sides sum log1p in the same order, so rhs <= lhs holds in floats
+        pre = identity_precoder(model) if control == "identity" else UNIVERSAL[model]
+        n = pre.n_streams
+        if control == "permuted":
+            pre = permute_columns(pre, (0, 2, 1, 3) + tuple(range(4, n)))
+        if control == "random":  # gap can be anything >= 0
+            pre = Precoder(np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0], model)
+        rep = capacity.verify_star_property(pre, alpha, snr, n_gamma, n_theta, n_phi)
+        assert rep.gap_bits >= 0.0
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("snr_db", [-100.0, -140.0])
+    def test_both_sides_within_1e12_of_50_digits(self, model, snr_db):
+        # summing log2(1 + SNR) rounds 1 + SNR first: 8.3e-8 relative off at -100 dB
+        snr = SnrSpec.from_db(snr_db).snr_linear
+        rep = capacity.verify_star_property(UNIVERSAL[model], 0.9, snr, n_gamma=5)
+        with mpmath.workdps(50):
+            s, a = mpmath.mpf(snr), mpmath.mpf(0.9)
+            want = float((mpmath.log1p((1 + a) * s) + mpmath.log1p((1 - a) * s)) / (4 * mpmath.ln2))
+        assert abs(rep.lhs_bits / want - 1.0) <= 1e-12
+        assert abs(rep.rhs_bits / want - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("model", list(Model))
     @pytest.mark.parametrize("control", ["universal", "identity", "permuted"])
