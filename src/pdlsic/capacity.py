@@ -349,9 +349,9 @@ def verify_star_property(
     Both sides sum log1p of the stream SNRs in stream order and scale by
     0.5/ln 2 once, so no side loses eps/SNR relative at low SNR as
     log2(1 + SNR) would.  As log1p, float addition and the scaling are
-    monotone, gap >= 0 always, in floats too.  A pass means the two sides agree to
-    ``STAR_TOL_BITS`` bits per real dimension.  The report names the lattice
-    point of the left side's minimum and of each stream's minimum.
+    monotone, gap >= 0 always, in floats too.  A pass means the two sides
+    agree to ``STAR_TOL_BITS`` bits per real dimension.  The report names the
+    lattice point of the left side's minimum and of each stream's minimum.
     """
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr before any grid work
     gammas, theta, phi = lattice_axes(alpha, precoder.model, n_gamma, n_theta, n_phi)

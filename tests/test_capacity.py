@@ -45,7 +45,7 @@ def cholesky_stream_snrs(gram, snr):
 
 
 def dense_stream_snrs(gram, snr):
-    """The Schur-form reverse Cholesky of :func:`capacity.successive_stream_snrs`, every entry formed."""
+    """The kernel's Schur-form reverse Cholesky with every entry formed: its bitwise reference."""
     n = gram.shape[-1]
     u = [[None] * n for _ in range(n)]
     out = np.empty((n,) + gram.shape[:-2])
@@ -108,14 +108,16 @@ def sheet_grams(draw):
     n = 2 * model.dim
     kind = draw(st.sampled_from(["universal", "identity", "permuted", "signed", "random"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pre = {
-        "universal": lambda: UNIVERSAL[model],
-        "identity": lambda: identity_precoder(model),
-        "permuted": lambda: permute_columns(UNIVERSAL[model], tuple(rng.permutation(n))),
-        "signed": lambda: Precoder(np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n),
-                                   model),
-        "random": lambda: Precoder(np.linalg.qr(rng.normal(size=(n, n)))[0], model),
-    }[kind]()
+    if kind == "universal":
+        pre = UNIVERSAL[model]
+    elif kind == "identity":
+        pre = identity_precoder(model)
+    elif kind == "permuted":
+        pre = permute_columns(UNIVERSAL[model], tuple(rng.permutation(n)))
+    elif kind == "signed":
+        pre = Precoder(np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n), model)
+    else:
+        pre = Precoder(np.linalg.qr(rng.normal(size=(n, n)))[0], model)
     rows = draw(st.integers(1, 4))
     gamma = np.array(draw(st.lists(st.floats(-0.999999, 0.999999), min_size=rows, max_size=rows)))
     theta = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2 * math.pi)),
