@@ -14,11 +14,6 @@ expect() {
     test "$rc" -eq "$want"
 }
 
-# strict JSON: no NaN, Infinity or -Infinity constants
-strict_json() {
-    python -c 'import json, sys; [json.load(open(p), parse_constant=lambda c: sys.exit(f"{p}: non-standard JSON constant {c}")) for p in sys.argv[1:]]' "$@"
-}
-
 # the headline penalties and the operating-point FER composition run
 pdlsic penalties --pdl-db 6
 pdlsic fer --alpha 0.599 --snr-db 13.01 --table1 data/fer_code1_8ask_pas.csv --table2 data/fer_code2_16ask_pas.csv
@@ -55,8 +50,8 @@ pdlsic simulate --config "$tmp/noprecode.json" --out "$tmp/noprecode1.json"
 pdlsic simulate --config "$tmp/noprecode.json" --out "$tmp/noprecode2.json"
 cmp "$tmp/noprecode1.json" "$tmp/noprecode2.json"
 
-# every simulate report above is strict JSON
-strict_json "$tmp"/report[12].json "$tmp"/fastfade[12].json "$tmp"/grid[12].json "$tmp"/pam4_[12].json "$tmp"/pam2_1.json "$tmp"/noprecode[12].json
+# every simulate report above is strict JSON: no NaN, Infinity or -Infinity constants
+python -c 'import json, sys; [json.load(open(p), parse_constant=lambda c: sys.exit(f"{p}: non-standard JSON constant {c}")) for p in sys.argv[1:]]' "$tmp"/report[12].json "$tmp"/fastfade[12].json "$tmp"/grid[12].json "$tmp"/pam4_[12].json "$tmp"/pam2_1.json "$tmp"/noprecode[12].json
 
 # a report that would hold NaN or Infinity exits 2 and writes no --out file
 printf '%s\n' '{"model": "Real", "alpha": 0.599, "snr": {"snr_linear": 1e306}, "param_mode": "WorstCaseEdge", "scheme": "ZF-SIC", "trials": 2000, "seed": 42, "block_size": 1000}' > "$tmp/overflow.json"

@@ -101,7 +101,8 @@ def sheet_grams(draw):
     """Oracle Gram stacks with 0-2 leading axes, of a universal, identity, column-permuted,
     signed-permutation or random (QR) orthogonal precoder.
 
-    All but the last have Gram entries that are 0.0 at every point and kernel
+    All but the random one have Gram entries that are 0.0 at every point, and
+    all but it and the real identity and signed-permutation ones have kernel
     entries that fill in; theta 0 adds entries that are 0.0 at some points only.
     """
     model = draw(st.sampled_from(Model))
@@ -534,7 +535,7 @@ class TestSuccessiveStreamSnrs:
 
     @pytest.mark.parametrize("model", list(Model))
     def test_keeps_an_entry_that_is_zero_at_some_points_only(self, model):
-        # identity precoder: the sheet Gram is diagonal at theta 0 and not at theta 1
+        # identity precoder: the sheet Gram has zeros at theta 0 that it lacks at theta 1
         phi = None if model is Model.REAL else np.array([0.3, 2.0])
         gram = sheet_gram(identity_precoder(model), np.array([0.5, 0.5]), np.array([0.0, 1.0]), phi)
         n = gram.shape[-1]
