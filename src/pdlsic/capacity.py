@@ -107,25 +107,18 @@ def inverse_c_compound(alpha: float, rate: float) -> float:
 class PdlPenalties:
     """Asymptotic SNR penalties in dB relative to a PDL-free channel."""
 
-    nonjoint_db: float
-    parallel_db: float
-    sic_db: float
-
-    def as_dict(self) -> dict:
-        return {
-            "nonjoint": self.nonjoint_db,
-            "parallel": self.parallel_db,
-            "sic": self.sic_db,
-        }
+    nonjoint: float
+    parallel: float
+    sic: float
 
 
 def penalties_db(alpha: float) -> PdlPenalties:
     """The three high-SNR penalties: 1/(1-a), 1/(1-a^2), 1/sqrt(1-a^2) in dB."""
     validate_alpha(alpha)
     return PdlPenalties(
-        nonjoint_db=10.0 * math.log10(1.0 / (1.0 - alpha)),
-        parallel_db=10.0 * math.log10(1.0 / (1.0 - alpha**2)),
-        sic_db=10.0 * math.log10(1.0 / math.sqrt(1.0 - alpha**2)),
+        nonjoint=10.0 * math.log10(1.0 / (1.0 - alpha)),
+        parallel=10.0 * math.log10(1.0 / (1.0 - alpha**2)),
+        sic=10.0 * math.log10(1.0 / math.sqrt(1.0 - alpha**2)),
     )
 
 

@@ -174,7 +174,7 @@ def cmd_penalties(args) -> int:
         {
             "alpha": args.alpha,
             "pdl_db": pdl_db_from_alpha(args.alpha),
-            "penalties_db": capacity.penalties_db(args.alpha).as_dict(),
+            "penalties_db": asdict(capacity.penalties_db(args.alpha)),
         },
         args.out,
     )

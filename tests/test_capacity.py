@@ -174,7 +174,7 @@ class TestCompound:
         y = float(capacity.c_compound(alpha, s))
         s_awgn = 2.0 ** (2.0 * y) - 1.0
         gap_db = 10.0 * math.log10(s / s_awgn)
-        assert gap_db == pytest.approx(capacity.penalties_db(alpha).sic_db, abs=1e-5)
+        assert gap_db == pytest.approx(capacity.penalties_db(alpha).sic, abs=1e-5)
         assert gap_db == pytest.approx(0.965, abs=1e-3)
 
     def test_approximation_error_is_one_over_snr(self):
@@ -221,18 +221,18 @@ class TestCompound:
 class TestPenalties:
     def test_reference_triple(self):
         pen = capacity.penalties_db(0.599)
-        assert pen.nonjoint_db == pytest.approx(3.968, abs=1e-3)
-        assert pen.parallel_db == pytest.approx(1.931, abs=1e-3)
-        assert pen.sic_db == pytest.approx(0.965, abs=1e-3)
+        assert pen.nonjoint == pytest.approx(3.968, abs=1e-3)
+        assert pen.parallel == pytest.approx(1.931, abs=1e-3)
+        assert pen.sic == pytest.approx(0.965, abs=1e-3)
 
     def test_alpha_zero(self):
         pen = capacity.penalties_db(0.0)
-        assert pen.nonjoint_db == pen.parallel_db == pen.sic_db == 0.0
+        assert pen.nonjoint == pen.parallel == pen.sic == 0.0
 
     def test_sic_is_half_parallel(self):
         for alpha in (0.1, 0.3, 0.599, 0.9, 0.99):
             pen = capacity.penalties_db(alpha)
-            assert pen.sic_db == pytest.approx(pen.parallel_db / 2.0, rel=1e-12)
+            assert pen.sic == pytest.approx(pen.parallel / 2.0, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
