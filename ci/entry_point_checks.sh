@@ -104,6 +104,9 @@ pdlsic verify --suite worst-case --alpha 0.9 --snr-db -100
 expect 1 pdlsic verify --suite orthogonality --alpha 0.9 --precoder identity
 expect 1 pdlsic verify --suite snr-closed-forms --alpha 0.9 --model real --permute 0,2,1,3
 
+# snr-closed-forms refuses with exit 2 and no --out file where its rounding floor reaches the tolerance (from 205 dB on both models)
+expect 2 pdlsic verify --suite snr-closed-forms --alpha 0.5 --snr-db 230 --out "$tmp/floor.json"; test ! -e "$tmp/floor.json"
+
 # means refuses a control with exit 2
 expect 2 pdlsic verify --suite means --pdl-db 6 --precoder identity
 

@@ -69,6 +69,9 @@ CURVE_CHUNK_ROWS = 4096
 
 _CURVE_ROW = ",".join(["%.12g"] * len(CURVE_COLUMNS)) + "\n"
 
+#: Relative tolerance of the numeric stream SNRs against their closed forms.
+CLOSED_FORM_TOL = 1e-9
+
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -214,7 +217,21 @@ def _suite_orthogonality(args, snr: SnrSpec):
 
 
 def _suite_snr_closed_forms(args, snr: SnrSpec):
+    verdicts = []  # every model is checked, or refused, before any verdict prints
     for model, params, eff in _sampled_channels(args, snr):
+        expect = {scheme: closed_form_stream_snr(scheme, params.gamma, snr)
+                  for scheme in StreamScheme}
+        # Each entry of the residual F = EH - Lambda is an n-term sum, off by about n*eps; the
+        # interference s*F*F^T of the numeric SNRs squares it: their relative deviation
+        # has a floor of about n^2*eps^2*s, which from some SNR reaches the tolerance.
+        n = eff.matrix.shape[-1]
+        floor = (n * np.finfo(float).eps) ** 2
+        if floor * snr.snr_linear >= CLOSED_FORM_TOL:
+            onset_db = 10.0 * math.log10(CLOSED_FORM_TOL / floor)
+            raise ValueError(
+                f"snr-closed-forms cannot resolve its {CLOSED_FORM_TOL:g} tolerance at "
+                f"{snr.snr_db:g} dB: on the {n}-stream {model.value} model the rounding floor "
+                f"n^2*eps^2*SNR reaches it from {onset_db:.1f} dB")
         numeric = {
             StreamScheme.ZF: stream_statistics(eff, zf_equalizer(eff)).snr_per_stream,
             StreamScheme.LMMSE: stream_statistics(eff, lmmse_equalizer(eff)).snr_per_stream,
@@ -222,12 +239,12 @@ def _suite_snr_closed_forms(args, snr: SnrSpec):
         }
         worst = {}
         for scheme, snrs in numeric.items():
-            expect = closed_form_stream_snr(scheme, params.gamma, snr)
-            rel = np.abs(snrs - expect[:, None]).max(axis=1) / expect
+            rel = np.abs(snrs - expect[scheme][:, None]).max(axis=1) / expect[scheme]
             worst[scheme.value] = float(rel.max())
-        passed = max(worst.values()) < 1e-9
-        yield (model, passed, {"max_rel_dev": worst, "passed": passed},
-               f"max_rel_dev={max(worst.values()):.3e} (tol 1e-09)")
+        passed = max(worst.values()) < CLOSED_FORM_TOL
+        verdicts.append((model, passed, {"max_rel_dev": worst, "passed": passed},
+                         f"max_rel_dev={max(worst.values()):.3e} (tol {CLOSED_FORM_TOL:.0e})"))
+    yield from verdicts
 
 
 def _point_text(point: ChannelParams) -> str:

@@ -420,6 +420,32 @@ class TestVerify:
         assert stdout == "" and not out.exists()
         assert err.startswith("error: float overflow")
 
+    @pytest.mark.parametrize("alpha", ["0", "0.5", "0.9", "0.999999"])
+    @pytest.mark.parametrize("model, onset_db", [("real", 211.03), ("complex", 205.01),
+                                                 ("both", 205.01)])
+    def test_closed_forms_refuse_from_their_rounding_floor(self, model, onset_db, alpha,
+                                                           capsys, tmp_path):
+        # the numeric SNRs' relative rounding grows as SNR * eps^2; from about 215 dB it
+        # read as FAIL, exit 1, on the universal precoder.  Now the suite refuses (exit 2,
+        # before any verdict) where n^2 * eps^2 * SNR reaches its 1e-9 tolerance: n = 4
+        # real and 8 complex streams.
+        out = tmp_path / "detail.json"
+        for snr_db in (200.0, onset_db - 0.1, onset_db + 0.1, 215.0, 230.0, 500.0, 1000.0,
+                       1541.0, 1549.0):
+            code, stdout, err = run_cli(
+                ["verify", "--suite", "snr-closed-forms", "--model", model, "--alpha", alpha,
+                 "--snr-db", repr(snr_db), "--draws", "50", "--out", str(out)],
+                capsys,
+            )
+            if snr_db < onset_db:
+                assert code == 0 and stdout.startswith("PASS snr-closed-forms[")
+                assert "FAIL" not in stdout
+                out.unlink()
+            else:
+                assert code == 2, (snr_db, stdout)
+                assert stdout == "" and not out.exists()
+                assert err.startswith("error: ")
+
     @pytest.mark.parametrize("model", ["real", "complex", "both"])
     @pytest.mark.parametrize(
         "suite", ["orthogonality", "snr-closed-forms", "star-property", "worst-case", "means"]
