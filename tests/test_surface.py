@@ -1,5 +1,5 @@
 """The documented and traced surface of pdlsic: README examples run, tracer names resolve,
-the command line starts without scipy."""
+the command line starts without scipy, a module loads only what it imports."""
 
 import importlib
 import importlib.util
@@ -50,3 +50,22 @@ def test_cli_cold_start_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_modules_load_only_what_they_import():
+    # pdlsic/__init__.py once re-exported 49 names, so importing any one module
+    # loaded all six library modules; each name now has one home
+    probe = (
+        "import sys, importlib; importlib.import_module(sys.argv[1]); "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('pdlsic.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def loaded(module):
+        out = subprocess.run([sys.executable, "-c", probe, module], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return set(out.split())
+
+    assert loaded("pdlsic") == set()
+    assert loaded("pdlsic.channel") == {"pdlsic.channel"}
+    assert not loaded("pdlsic.capacity") & {"pdlsic.montecarlo", "pdlsic.linkbudget"}
