@@ -84,6 +84,13 @@ expect 1 env OPENBLAS_NUM_THREADS=1 pdlsic verify --suite star-property --model 
 expect 1 env OPENBLAS_NUM_THREADS=2 pdlsic verify --suite star-property --model real --alpha 0.599 --permute 0,2,1,3 --out "$tmp/permuted_2.json"
 cmp "$tmp/permuted_1.json" "$tmp/permuted_2.json"
 
+# 135 complex theta rows run as slabs of 67 and 68 rows, one ending inside a gamma sheet:
+# the same bytes under 1 and 2 BLAS threads, and the identity control still fails
+OPENBLAS_NUM_THREADS=1 pdlsic verify --suite star-property --model complex --alpha 0.599 --n-gamma 3 --n-theta 45 --out "$tmp/rows_1.json"
+OPENBLAS_NUM_THREADS=2 pdlsic verify --suite star-property --model complex --alpha 0.599 --n-gamma 3 --n-theta 45 --out "$tmp/rows_2.json"
+cmp "$tmp/rows_1.json" "$tmp/rows_2.json"
+expect 1 pdlsic verify --suite star-property --model complex --alpha 0.599 --n-gamma 3 --n-theta 45 --precoder identity
+
 # the star-property oracle fails both controls
 expect 1 pdlsic verify --suite star-property --model real --alpha 0.599 --n-gamma 3 --permute 0,2,1,3
 expect 1 pdlsic verify --suite star-property --model complex --alpha 0.599 --n-gamma 3 --precoder identity

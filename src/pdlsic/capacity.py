@@ -43,9 +43,11 @@ STAR_TOL_BITS = 1e-9
 # Bits per real dimension in one nat of ln(1 + snr): C(snr) = _BITS_PER_NAT * log1p(snr).
 _BITS_PER_NAT = 0.5 / math.log(2.0)
 
-#: Lattice points per slab of :func:`verify_star_property`: one complex sheet
-#: of the default grid, whose Gram buffer takes 2 MiB.
-SLAB = 16384
+#: Lattice points a slab of :func:`verify_star_property` aims at: 64 complex
+#: theta rows of the default grid, a 2 MiB Gram buffer (n^2 * SLAB * 8 B).
+#: Below 2 * SLAB points each kernel array stays under glibc's 128 KiB mmap
+#: threshold, so it comes from the heap, not from pages mapped for it alone.
+SLAB = 4096
 
 
 def c_awgn(snr):
@@ -330,13 +332,21 @@ def verify_star_property(
     Evaluates, over :func:`~pdlsic.channel.lattice`, the minimum of the sum of
     successive per-stream capacities against the sum of the per-stream
     minima.  Every lattice point gets its own Gram and
-    :func:`successive_stream_snrs`, a slab at a time.  A slab is a run of
-    (gamma, theta) rows x the phi axis, the rows of as many whole sheets at
-    consecutive gammas as fit in :data:`SLAB` points, and at least one, so no
-    sheet is split: 64 real sheets or one complex sheet at the default sizes.
-    Point j of the slab from gamma g0 is at gamma ``g0 + j // (n_theta *
-    n_phi)``, theta ``j // n_phi % n_theta`` and phi ``j % n_phi``.  The
-    running minima keep the first point in grid order.  The left side equals
+    :func:`successive_stream_snrs`, a slab at a time.  Row r of the lattice
+    is gamma ``r // n_theta`` and theta ``r % n_theta``; a slab is a run of
+    consecutive rows x the phi axis, and may end inside a gamma sheet.  The
+    rows are split into ``max(1, rows // per)`` balanced runs, per = ``max(2,
+    SLAB // n_phi)``: per to 2 * per - 1 rows each, or all rows when fewer,
+    804 complex slabs of 64 rows or 12 real slabs of 4288 at the default
+    sizes.  Two rows at least, unless the lattice has one: a one-row slab
+    sends :func:`_gram`'s product down matmul's matrix-vector path, which
+    moves ulps and so the tie-first points.  The bound keeps the kernel's
+    arrays under glibc's 128 KiB mmap threshold: with whole-sheet slabs
+    (16384 points) a ``pdlsic verify`` process's first complex default-grid
+    call took 123k minor faults and 1.5x its third call; now 375 faults, as
+    long as its third call, at 25% less peak RSS.  Point j of the slab from
+    row r0 is at row ``r0 + j // n_phi`` and phi ``j % n_phi``.  The running
+    minima keep the first point in grid order.  The left side equals
     twice the compound capacity for any orthogonal precoder (chain rule); the
     right side reaches it only for a correct precoder and stream order.
     Both sides sum log1p of the stream SNRs in stream order and scale by
@@ -349,24 +359,27 @@ def verify_star_property(
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr before any grid work
     gammas, theta, phi = lattice_axes(alpha, precoder.model, n_gamma, n_theta, n_phi)
     n_theta, n_phi = len(theta), 1 if phi is None else len(phi)
-    sheet = n_theta * n_phi
-    per_slab = min(max(1, SLAB // sheet), len(gammas))  # sheets per slab
+    rows = len(gammas) * n_theta
+    per = max(2, SLAB // n_phi)  # two rows at least: see above
+    runs = max(1, rows // per)
+    ends = [rows * k // runs for k in range(runs + 1)]  # per to 2 * per - 1 rows each
     plan = _gram_plan(precoder)
     n = precoder.n_streams
-    buf = np.empty(n * n * per_slab * sheet)  # one buffer for every slab
+    buf = np.empty(n * n * -(-rows // runs) * n_phi)  # one buffer for every slab
 
-    def point(g0, j) -> ChannelParams:
-        return ChannelParams(float(gammas[g0 + j // sheet]), float(theta[j // n_phi % n_theta]),
+    def point(r0, j) -> ChannelParams:
+        r = r0 + j // n_phi
+        return ChannelParams(float(gammas[r // n_theta]), float(theta[r % n_theta]),
                              None if phi is None else float(phi[j % n_phi]))
 
     lhs = np.inf  # nats: the minimum over the grid of sum_i log1p(SNR_i)
     lhs_at = None
     min_snrs = np.full(n, np.inf)
     min_at = [None] * n
-    for g0 in range(0, len(gammas), per_slab):
-        g = gammas[g0 : g0 + per_slab]
-        size = len(g) * sheet
-        gram = _gram(np.repeat(g, n_theta), np.tile(theta, len(g)), phi, plan,
+    for r0, r1 in zip(ends, ends[1:]):
+        r = np.arange(r0, r1)
+        size = len(r) * n_phi
+        gram = _gram(gammas[r // n_theta], theta[r % n_theta], phi, plan,
                      buf[: n * n * size].reshape(n, n, size))
         # (n, S): one contiguous row per stream
         snrs = successive_stream_snrs(gram, snr).T
@@ -375,10 +388,10 @@ def verify_star_property(
             sums += np.log1p(row)
             k = int(row.argmin())
             if row[k] < min_snrs[i]:
-                min_snrs[i], min_at[i] = row[k], point(g0, k)
+                min_snrs[i], min_at[i] = row[k], point(r0, k)
         j = int(sums.argmin())
         if sums[j] < lhs:
-            lhs, lhs_at = float(sums[j]), point(g0, j)
+            lhs, lhs_at = float(sums[j]), point(r0, j)
     rhs = 0.0  # the same sum in the same order, of the minima: rhs <= lhs
     for v in np.log1p(min_snrs):
         rhs += float(v)

@@ -521,7 +521,9 @@ def _jackknife_ratio(num: np.ndarray, den: np.ndarray):
     if b < 2:
         return estimate, None
     dev = total_num - num  # in place from here on: B may be 10**6 blocks
-    dev /= total_den - den
+    rows = max(1, CHUNK_ELEMENTS // dev.shape[1])  # divisors a row block at a time
+    for r in range(0, b, rows):
+        dev[r:r + rows] /= total_den - den[r:r + rows]
     dev -= dev.mean(axis=0)
     scale = np.maximum(dev.max(axis=0), -dev.min(axis=0))
     scale[scale == 0.0] = 1.0

@@ -424,12 +424,17 @@ class TestStarProperty:
 class TestSlabs:
     """Where the slab bound falls moves neither the report nor the lattice points it names."""
 
-    GRID = {"n_gamma": 7, "n_theta": 16, "n_phi": 8}
+    # 112 rows in sheets of 16; 65 rows in sheets of 13, which plain runs of 2, 4 or 32
+    # rows would end with a one-row run
+    GRIDS = {"sheets": {"n_gamma": 7, "n_theta": 16, "n_phi": 8},
+             "tail": {"n_gamma": 5, "n_theta": 13, "n_phi": 8}}
 
     @pytest.mark.parametrize("model", list(Model))
     @pytest.mark.parametrize("control", ["universal", "identity", "permuted", "random"])
-    @pytest.mark.parametrize("slab", ["theta-row", "mid-run", "default"])
-    def test_slab_bound_keeps_the_report(self, model, control, slab, monkeypatch):
+    @pytest.mark.parametrize("slab", ["theta-row", "in-sheet", "mid-run", "default"])
+    @pytest.mark.parametrize("grid", ["sheets", "tail"])
+    def test_slab_bound_keeps_the_report(self, model, control, slab, grid, monkeypatch):
+        grid = self.GRIDS[grid]
         pre = identity_precoder(model) if control == "identity" else UNIVERSAL[model]
         n = pre.n_streams
         if control == "permuted":
@@ -437,14 +442,15 @@ class TestSlabs:
         if control == "random":  # minima off |gamma| = alpha, in later slabs
             pre = Precoder(np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))[0], model)
         alpha, snr = 0.7, 20.0
-        ref = capacity.verify_star_property(pre, alpha, snr, **self.GRID)  # one slab
-        gammas, theta, phi = lattice_axes(alpha, model, **self.GRID)
+        ref = capacity.verify_star_property(pre, alpha, snr, **grid)  # one slab
+        gammas, theta, phi = lattice_axes(alpha, model, **grid)
         n_phi = 1 if phi is None else len(phi)
         sheet = len(theta) * n_phi
-        # one theta row, or 2.5 sheets: the bound ends mid-way through the third sheet
-        bound = {"theta-row": n_phi, "mid-run": 5 * sheet // 2, "default": capacity.SLAB}[slab]
+        # one theta row (runs of two), four rows, or 2.5 sheets: each ends inside a sheet
+        bound = {"theta-row": n_phi, "in-sheet": 4 * n_phi, "mid-run": 5 * sheet // 2,
+                 "default": capacity.SLAB}[slab]
         monkeypatch.setattr(capacity, "SLAB", bound)
-        rep = capacity.verify_star_property(pre, alpha, snr, **self.GRID)
+        rep = capacity.verify_star_property(pre, alpha, snr, **grid)
         eps = np.finfo(float).eps
         assert abs(rep.lhs_bits - ref.lhs_bits) <= 4 * eps * max(1.0, ref.lhs_bits)
         assert abs(rep.rhs_bits - ref.rhs_bits) <= 4 * eps * max(1.0, ref.rhs_bits)
@@ -452,8 +458,8 @@ class TestSlabs:
 
         # each named point is a lattice point, and the lattice reference attains the
         # reported minimum there: the rate sum within 4 eps, a stream within the kernel bound
-        grid = lattice(alpha, model, **self.GRID)
-        g = gram(effective_channel(grid, pre, SnrSpec(snr)).matrix).reshape(-1, n, n)
+        points = lattice(alpha, model, **grid)
+        g = gram(effective_channel(points, pre, SnrSpec(snr)).matrix).reshape(-1, n, n)
         snrs = capacity.successive_stream_snrs(g, snr)
         rates = (0.5 * np.log2(1.0 + snrs)).sum(axis=1) / n
         tol = 16 * eps * snr * np.diagonal(g, axis1=1, axis2=2).max(axis=0) / snrs.min(axis=0)
@@ -467,9 +473,41 @@ class TestSlabs:
         for i, p in enumerate(rep.min_stream_points):
             assert abs(snrs[index(p), i] / rep.min_stream_snrs[i] - 1.0) <= tol[i]
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(list(Model)), st.integers(1, 6), st.integers(1, 20),
+           st.integers(1, 40), st.integers(1, 200))
+    def test_slabs_are_runs_of_whole_rows(self, model, n_gamma, n_theta, n_phi, bound):
+        gammas, theta, phi = lattice_axes(0.7, model, n_gamma, n_theta, n_phi)
+        n_phi = 1 if phi is None else n_phi
+        rows, per = n_gamma * n_theta, max(2, bound // n_phi)
+        seen, sizes = [], []
+        gram_of, kernel = capacity._gram, capacity.successive_stream_snrs
+
+        def recording_gram(gamma, theta, phi, plan, out):
+            seen.append(np.stack([gamma, theta]))
+            return gram_of(gamma, theta, phi, plan, out)
+
+        def recording_kernel(gram, snr):
+            sizes.append(gram.shape[0])
+            return kernel(gram, snr)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(capacity, "SLAB", bound)
+            mp.setattr(capacity, "_gram", recording_gram)
+            mp.setattr(capacity, "successive_stream_snrs", recording_kernel)
+            capacity.verify_star_property(UNIVERSAL[model], 0.7, 20.0, n_gamma, n_theta, n_phi)
+        # the slabs are the lattice's (gamma, theta) rows in order, each x the whole phi axis
+        want = np.stack([np.repeat(gammas, n_theta), np.tile(theta, n_gamma)])
+        assert np.array_equal(np.concatenate(seen, axis=1), want)
+        assert sizes == [s.shape[1] * n_phi for s in seen]
+        assert sum(sizes) == rows * n_phi
+        for s in seen:  # per to 2 * per - 1 rows, or one slab of fewer rows than per
+            assert per <= s.shape[1] <= 2 * per - 1 or len(seen) == 1 and rows < per
+            assert s.shape[1] >= 2 or rows == 1
+
     @pytest.mark.parametrize(("model", "calls"), [
-        (Model.REAL, math.ceil(201 * 256 / capacity.SLAB)),  # 64 real sheets a slab
-        (Model.COMPLEX, 201),  # one complex sheet a slab
+        (Model.REAL, 12),  # 201 * 256 rows of one point: 12 runs of 4288
+        (Model.COMPLEX, 804),  # rows of 64 points: 804 runs of 64 rows
     ])
     def test_default_grid_kernel_calls(self, model, calls, monkeypatch):
         sizes = []

@@ -309,6 +309,23 @@ class TestStreamedSums:
                       "snr_per_stream", "snr_stderr"):
             assert np.array_equal(getattr(split, field), getattr(whole, field))
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 5])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_jackknife_row_blocks_change_no_bit(self, n, offset, blocks):
+        # B below, at and above whole row blocks of the leave-one-out division
+        b = blocks * (montecarlo.CHUNK_ELEMENTS // n) + offset
+        rng = np.random.default_rng(b * n)
+        num, den = rng.exponential(size=(b, n)), rng.exponential(size=(b, n))
+        total_num, total_den = num.sum(axis=0), den.sum(axis=0)
+        estimate, se = _jackknife_ratio(num, den)
+        assert np.array_equal(estimate, total_num / total_den)
+        dev = (total_num - num) / (total_den - den)  # the one-array division
+        dev -= dev.mean(axis=0)
+        scale = np.maximum(dev.max(axis=0), -dev.min(axis=0))
+        dev /= scale
+        assert np.array_equal(se, scale * np.sqrt((b - 1) / b * np.square(dev).sum(axis=0)))
+
 
 class TestStreams:
     @pytest.mark.parametrize("constellation", ["Gaussian", "PAM(4)"])
