@@ -84,6 +84,12 @@ expect 1 env OPENBLAS_NUM_THREADS=1 pdlsic verify --suite star-property --model 
 expect 1 env OPENBLAS_NUM_THREADS=2 pdlsic verify --suite star-property --model real --alpha 0.599 --permute 0,2,1,3 --out "$tmp/permuted_2.json"
 cmp "$tmp/permuted_1.json" "$tmp/permuted_2.json"
 
+# the complex identity control fails on the default grid, the same bytes under 1 and 2 BLAS threads;
+# its Gram plan leaves out 20 of the 36 entries, a different pattern from the universal precoder's 16
+expect 1 env OPENBLAS_NUM_THREADS=1 pdlsic verify --suite star-property --model complex --precoder identity --alpha 0.599 --out "$tmp/identity_1.json"
+expect 1 env OPENBLAS_NUM_THREADS=2 pdlsic verify --suite star-property --model complex --precoder identity --alpha 0.599 --out "$tmp/identity_2.json"
+cmp "$tmp/identity_1.json" "$tmp/identity_2.json"
+
 # 135 complex theta rows run as slabs of 67 and 68 rows, one ending inside a gamma sheet:
 # the same bytes under 1 and 2 BLAS threads, and the identity control still fails
 OPENBLAS_NUM_THREADS=1 pdlsic verify --suite star-property --model complex --alpha 0.599 --n-gamma 3 --n-theta 45 --out "$tmp/rows_1.json"

@@ -22,7 +22,6 @@ import numpy as np
 from .channel import (
     FACTOR_LAYOUT,
     ChannelParams,
-    Model,
     SnrSpec,
     channel_factors,
     lattice_axes,
@@ -43,10 +42,9 @@ STAR_TOL_BITS = 1e-9
 # Bits per real dimension in one nat of ln(1 + snr): C(snr) = _BITS_PER_NAT * log1p(snr).
 _BITS_PER_NAT = 0.5 / math.log(2.0)
 
-#: Lattice points a slab of :func:`verify_star_property` aims at: 64 complex
-#: theta rows of the default grid, a 2 MiB Gram buffer (n^2 * SLAB * 8 B).
-#: Below 2 * SLAB points each kernel array stays under glibc's 128 KiB mmap
-#: threshold, so it comes from the heap, not from pages mapped for it alone.
+#: Lattice points a slab of :func:`verify_star_property` aims at: 64 complex theta rows of the
+#: default grid.  With n_phi <= SLAB // 2 a slab has under 2 * SLAB points, so each kernel row
+#: (8 B a point) stays on the heap, under glibc's 128 KiB mmap threshold.
 SLAB = 4096
 
 
@@ -190,7 +188,7 @@ def worst_case_search(
 
 
 def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
-    """LMMSE-SIC per-stream SNRs from stacked Gram matrices H^T H.
+    """LMMSE-SIC per-stream SNRs from Gram matrices H^T H.
 
     Stream i sees streams 1..i-1 cancelled and i+1..n as Gaussian
     interference; its SNR is the unbiased LMMSE SNR
@@ -202,11 +200,14 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
     A[i:, i:].  One reverse Cholesky A = U U^T, U upper triangular and
     unrolled from the last pivot down, gives all n in the Schur form
     snr * Gram_ii - sum_{j>i} U_ij^2, which never adds the 1 only to take it
-    away.  It reads only the upper triangle ``gram[..., a, b]``, a <= b, each
-    entry as one array over the stack (contiguous for an entry-major stack),
-    so ``gram`` must be symmetric positive semidefinite.  It writes the SNRs
-    entry major too, one contiguous row per stream, and returns them as the
-    ``(*batch, n)`` view of that ``(n, *batch)`` array.
+    away.  It reads only the upper triangle, each entry Gram_ab, a <= b, as
+    one array over the batch, so the Gram must be symmetric positive
+    semidefinite.  ``gram`` is a ``(*batch, n, n)`` stack, whose SNRs come
+    back as the ``(*batch, n)`` view of a fresh entry-major array, or the
+    entry form: an ``(n, n)`` object array of Gram_ab rows, None where
+    Gram_ab is 0.0 throughout.  The entry form is consumed: stream i's SNRs
+    overwrite row ``[i, i]``, read once as step i starts, and the ``(n,)``
+    object array of those rows comes back; no other row is written.
 
     Error: the only loss is the cancellation in that subtraction, so each
     SNR is within 8*eps*snr*Gram_ii/SNR_i relative of the exact SNRs of the
@@ -217,23 +218,25 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
     control reached 5.2e3x eps*snr*Gram_ii/SNR_i, so its reported stream
     minimum there carries that much error.
 
-    Zeros: an entry U_ki that is 0.0 at every point of the stack is kept as
-    None and never formed, and every product term with a None factor is
-    skipped.  U_ki is None when Gram_ki is 0.0 on the whole stack and none of
-    its product terms has two formed factors; the stack is read, nothing is
-    assumed of the precoder.  The complex universal precoder leaves 16 of the
-    36 upper-triangle Gram entries 0.0 everywhere, and 10 of the 28 U_ki
-    stay None.  The SNRs keep every bit of the dense recurrence: x - 0*y = x
-    for finite y, and a zero whose sign could differ only ever reaches a
-    square.
+    Zeros: U_ki is kept as None, never formed, when Gram_ki is None (in a
+    stack: 0.0 at every point) and none of its product terms has two formed
+    factors, and every product term with a None factor is skipped.  The
+    complex universal precoder leaves 16 of the 36 upper-triangle Gram
+    entries 0.0 everywhere, and 10 of the 28 U_ki stay None.  The SNRs keep
+    every bit of the dense recurrence: x - 0*y = x for finite y, and a zero
+    whose sign could differ only ever reaches a square.
     """
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr
-    gram = np.asarray(gram, float)
-    n = gram.shape[-1]
-    u = [[None] * n for _ in range(n)]  # u[k][i] = U_ki for k < i; None: 0.0 on the whole stack
-    out = np.empty((n,) + gram.shape[:-2])  # entry major: stream i's SNRs contiguous
+    entry = np.asarray(gram)
+    if entry.dtype != object:  # a stack: its entry form, the diagonal copied entry major
+        gram = entry.astype(float, copy=False)
+        out = np.ascontiguousarray(np.moveaxis(np.diagonal(gram, 0, -2, -1), -1, 0))
+        entry = [[out[a, ...] if a == b else gram[..., a, b] if a < b and gram[..., a, b].any()
+                  else None for b in range(len(out))] for a in range(len(out))]
+    n = len(entry)
+    u = [[None] * n for _ in range(n)]  # u[k][i] = U_ki for k < i; None: 0.0 throughout
     for i in range(n - 1, -1, -1):
-        schur = np.multiply(snr, gram[..., i, i], out=out[i, ...])
+        schur = np.multiply(snr, entry[i][i], out=entry[i][i])
         for j in range(i + 1, n):
             if u[i][j] is not None:
                 schur -= u[i][j] ** 2
@@ -241,14 +244,14 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
         for k in range(i):
             terms = [(u[k][j], u[i][j]) for j in range(i + 1, n)
                      if u[k][j] is not None and u[i][j] is not None]
-            if not terms and not gram[..., k, i].any():
+            if not terms and entry[k][i] is None:
                 continue
-            x = snr * gram[..., k, i]
+            x = 0.0 if entry[k][i] is None else snr * entry[k][i]
             for a, b in terms:
                 x -= a * b
             x /= pivot
             u[k][i] = x
-    return np.moveaxis(out, 0, -1)
+    return np.moveaxis(out, 0, -1) if isinstance(entry, list) else np.diagonal(entry)
 
 
 @dataclass(frozen=True)
@@ -267,56 +270,65 @@ class StarPropertyReport:
         return self.gap_bits < STAR_TOL_BITS
 
 
+def _layout_tables(layout) -> tuple:
+    """``(signs, fold, t_pairs, p_pairs)`` of a :data:`FACTOR_LAYOUT`, for :func:`_gram_plan`.
+
+    M_rk = sum_uv signs[r, k, u, v] * t[u] * p[v], and ``fold`` sums the ordered factor pairs
+    (u, v, x, y) into the unordered ``t_pairs`` u <= x and ``p_pairs`` v <= y.
+    """
+    n_t, n_p = (1 + max(f[i] for row in layout for f in row) for i in (1, 2))
+    signs = np.zeros((len(layout), len(layout), n_t, n_p))
+    for r, row in enumerate(layout):
+        for k, (sign, u, v) in enumerate(row):
+            signs[r, k, u, v] = sign
+    t_pairs, p_pairs = ([(u, x) for u in range(m) for x in range(u, m)] for m in (n_t, n_p))
+    fold = np.zeros((n_t, n_p, n_t, n_p, len(t_pairs), len(p_pairs)))
+    for k, (u, x) in enumerate(t_pairs):
+        for j, (v, y) in enumerate(p_pairs):
+            fold[[u, u, x, x], [v, y, v, y], [x, x, u, u], [y, v, y, v], k, j] = 1.0
+    return signs, fold.reshape((n_t * n_p) ** 2, -1), t_pairs, p_pairs
+
+
+_LAYOUT_TABLES = {model: _layout_tables(layout) for model, layout in FACTOR_LAYOUT.items()}
+
+
 def _gram_plan(precoder: Precoder) -> tuple:
-    """``(t_pairs, p_pairs, coef)``: Gram[a, b] = sum_UV coef[a, b, U, V] * T_U * P_V.
+    """``(t_pairs, p_pairs, entries, coef)``: Gram[e] = sum_UV coef[e, U, V] * T_U * P_V.
 
     Row (j, r) of H = blockdiag(M, M) @ G is sum_k M_rk G[(j, k), :], and by
     :data:`FACTOR_LAYOUT` each M_rk is a sign times t[u] * p[v] of the
     :func:`~pdlsic.channel.channel_factors` ``(t, p)``.  So H = N (t x p)
     for a fixed N, and H^T H is N^T N over the products T_U = t[u] * t[x]
     and P_V = p[v] * p[y], taken over unordered pairs u <= x and v <= y.
-    Only the T pairs with a nonzero coefficient are kept.
+    Only the T pairs and upper-triangle ``entries`` (a, b) with a nonzero coefficient are kept,
+    the diagonal first: 20 of 36 for the complex universal precoder, 16 for the complex identity.
     """
-    layout = FACTOR_LAYOUT[precoder.model]
-    d = len(layout)
-    n_t, n_p = 4, 2 if precoder.model is Model.COMPLEX else 1  # len(t), len(p)
-    signs = np.zeros((d, d, n_t, n_p))  # M_rk = sum_uv signs[r, k, u, v] * t[u] * p[v]
-    for r, row in enumerate(layout):
-        for k, (sign, u, v) in enumerate(row):
-            signs[r, k, u, v] = sign
-    rows = np.einsum("rkuv,jka->jrauv", signs, precoder.entries.reshape(2, d, 2 * d))
-    rows = rows.reshape(2 * d, -1)
-    c = (rows.T @ rows).reshape(2 * d, n_t, n_p, 2 * d, n_t, n_p).transpose(0, 3, 1, 4, 2, 5)
-    c = c + c.transpose(0, 1, 3, 2, 4, 5)  # T_ux = T_xu; the doubled diagonals are halved below
-    c = c + c.transpose(0, 1, 2, 3, 5, 4)
-    tu, tx = np.triu_indices(n_t)
-    pv, py = np.triu_indices(n_p)
-    c = c[:, :, tu, tx][:, :, :, pv, py] / np.outer(1 + (tu == tx), 1 + (pv == py))
-    keep = np.flatnonzero(c.any(axis=(0, 1, 3)))
-    return list(zip(tu[keep], tx[keep])), list(zip(pv, py)), c[:, :, keep]
+    signs, fold, t_pairs, p_pairs = _LAYOUT_TABLES[precoder.model]
+    (d, _, n_t, n_p), n = signs.shape, precoder.n_streams
+    rows = np.einsum("rkuv,jka->jrauv", signs, precoder.entries.reshape(2, d, n)).reshape(n, -1)
+    c = (rows.T @ rows).reshape(n, n_t * n_p, n, -1).swapaxes(1, 2).reshape(n * n, -1) @ fold
+    keep = np.flatnonzero((c != 0.0).any(axis=0).reshape(len(t_pairs), -1).any(axis=1))
+    ka, kb = np.nonzero(np.triu((c != 0.0).any(axis=1).reshape(n, n), 1))
+    entries = [(a, a) for a in range(n)] + list(zip(ka, kb))
+    coef = c.reshape(n, n, len(t_pairs), -1)[tuple(np.array(entries).T)][:, keep]
+    return [t_pairs[k] for k in keep], p_pairs, entries, coef
 
 
 def _gram(gamma, theta, phi, plan: tuple, out: np.ndarray) -> np.ndarray:
-    """H^T H over a slab: R (gamma, theta) rows x the ``phi`` axis (None: real).
+    """The plan's Gram entries over a slab: R (gamma, theta) rows x the ``phi`` axis (None: real).
 
     ``gamma`` and ``theta`` are paired ``(R,)`` arrays, row r at ``(gamma[r],
-    theta[r])``.  Each Gram entry over the slab is the rank-T product of an
-    ``(R, T)`` row factor and a ``(T, n_phi)`` phi-factor from
-    :func:`_gram_plan`, one batched matmul per Gram row.  Only the upper
-    triangle is written, entry major into the contiguous ``out`` of shape
-    ``(n, n, S)``, S = R * n_phi; the lower triangle is left as it was.
-    Returns the ``(S, n, n)`` view, slab point j at row ``j // n_phi`` and phi
-    ``j % n_phi``.
+    theta[r])``.  Each entry is the rank-T product of an ``(R, T)`` row factor
+    and a ``(T, n_phi)`` phi-factor from :func:`_gram_plan`, all in one
+    batched matmul into row e of the contiguous ``out`` of shape ``(E, S)``,
+    S = R * n_phi, slab point j at row ``j // n_phi`` and phi ``j % n_phi``.
     """
-    t_pairs, p_pairs, coef = plan
+    t_pairs, p_pairs, _, coef = plan
     t, p = channel_factors(gamma, theta, phi)
     tt = np.stack([t[u] * t[x] for u, x in t_pairs], axis=-1)
     pp = np.array([np.atleast_1d(p[v] * p[y]) for v, y in p_pairs])
-    w = coef @ pp
-    n, shape = len(out), (len(theta), pp.shape[1])
-    for a in range(n):
-        np.matmul(tt, w[a, a:], out=out[a, a:].reshape(n - a, *shape))
-    return np.moveaxis(out, -1, 0)
+    np.matmul(tt, coef @ pp, out=out.reshape(len(coef), len(theta), pp.shape[1]))
+    return out
 
 
 def verify_star_property(
@@ -340,12 +352,10 @@ def verify_star_property(
     804 complex slabs of 64 rows or 12 real slabs of 4288 at the default
     sizes.  Two rows at least, unless the lattice has one: a one-row slab
     sends :func:`_gram`'s product down matmul's matrix-vector path, which
-    moves ulps and so the tie-first points.  The bound keeps the kernel's
-    arrays under glibc's 128 KiB mmap threshold: with whole-sheet slabs
-    (16384 points) a ``pdlsic verify`` process's first complex default-grid
-    call took 123k minor faults and 1.5x its third call; now 375 faults, as
-    long as its third call, at 25% less peak RSS.  Point j of the slab from
-    row r0 is at row ``r0 + j // n_phi`` and phi ``j % n_phi``.  The running
+    moves ulps and so the tie-first points.  A slab's Gram holds only the
+    entries of :func:`_gram_plan`, in one entry-major buffer made per call,
+    and goes to the kernel in its entry form, which writes the SNRs over the
+    diagonal rows; the rate sums reuse one per-call row too.  The running
     minima keep the first point in grid order.  The left side equals
     twice the compound capacity for any orthogonal precoder (chain rule); the
     right side reaches it only for a correct precoder and stream order.
@@ -364,34 +374,34 @@ def verify_star_property(
     runs = max(1, rows // per)
     ends = [rows * k // runs for k in range(runs + 1)]  # per to 2 * per - 1 rows each
     plan = _gram_plan(precoder)
-    n = precoder.n_streams
-    buf = np.empty(n * n * -(-rows // runs) * n_phi)  # one buffer for every slab
+    n, entries = precoder.n_streams, plan[2]
+    width = -(-rows // runs) * n_phi  # points in the largest slab
+    buf, sums = np.empty(len(entries) * width), np.empty(width)  # one of each for every slab
+    gram = np.empty((n, n), object)  # the kernel's entry form: None where the plan has no entry
 
-    def point(r0, j) -> ChannelParams:
-        r = r0 + j // n_phi
+    def point(at) -> ChannelParams:  # point j of the slab from row r0: row r0 + j // n_phi
+        r, f = divmod(at, n_phi)
         return ChannelParams(float(gammas[r // n_theta]), float(theta[r % n_theta]),
-                             None if phi is None else float(phi[j % n_phi]))
+                             None if phi is None else float(phi[f]))
 
-    lhs = np.inf  # nats: the minimum over the grid of sum_i log1p(SNR_i)
-    lhs_at = None
-    min_snrs = np.full(n, np.inf)
-    min_at = [None] * n
+    lhs, lhs_at = np.inf, None  # nats: the minimum over the grid of sum_i log1p(SNR_i)
+    min_snrs, min_at = np.full(n, np.inf), [None] * n  # min_at, lhs_at: r0 * n_phi + j
     for r0, r1 in zip(ends, ends[1:]):
         r = np.arange(r0, r1)
         size = len(r) * n_phi
-        gram = _gram(gammas[r // n_theta], theta[r % n_theta], phi, plan,
-                     buf[: n * n * size].reshape(n, n, size))
-        # (n, S): one contiguous row per stream
-        snrs = successive_stream_snrs(gram, snr).T
-        sums = np.zeros(size)
-        for i, row in enumerate(snrs):
-            sums += np.log1p(row)
+        slab = _gram(gammas[r // n_theta], theta[r % n_theta], phi, plan,
+                     buf[: len(entries) * size].reshape(-1, size))
+        for (a, b), row in zip(entries, slab):
+            gram[a, b] = row
+        total = sums[:size]  # 0.0 + log1p(SNR_0) + ..., as a sum from zeros would be
+        for i, row in enumerate(successive_stream_snrs(gram, snr)):
             k = int(row.argmin())
             if row[k] < min_snrs[i]:
-                min_snrs[i], min_at[i] = row[k], point(r0, k)
-        j = int(sums.argmin())
-        if sums[j] < lhs:
-            lhs, lhs_at = float(sums[j]), point(r0, j)
+                min_snrs[i], min_at[i] = row[k], r0 * n_phi + k
+            np.add(0.0 if i == 0 else total, np.log1p(row, out=row), out=total)
+        j = int(total.argmin())
+        if total[j] < lhs:
+            lhs, lhs_at = float(total[j]), r0 * n_phi + j
     rhs = 0.0  # the same sum in the same order, of the minima: rhs <= lhs
     for v in np.log1p(min_snrs):
         rhs += float(v)
@@ -401,8 +411,8 @@ def verify_star_property(
         rhs_bits=rhs / n,
         gap_bits=(lhs - rhs) / n,
         min_stream_snrs=min_snrs,
-        lhs_point=lhs_at,
-        min_stream_points=tuple(min_at),
+        lhs_point=point(lhs_at),
+        min_stream_points=tuple(map(point, min_at)),
     )
 
 

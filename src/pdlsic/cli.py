@@ -267,9 +267,9 @@ def _suite_star_property(args, snr: SnrSpec):
             "rhs_bits": rep.rhs_bits,
             "gap_bits": rep.gap_bits,
             "passed": rep.passed,
-            "lhs_point": asdict(rep.lhs_point),
+            "lhs_point": dict(vars(rep.lhs_point)),  # asdict would deep-copy the floats
             "min_stream_points": [
-                {"snr": float(v), **asdict(p)}
+                {"snr": float(v), **vars(p)}
                 for v, p in zip(rep.min_stream_snrs, rep.min_stream_points)
             ],
         }

@@ -153,13 +153,19 @@ def test_gram_from_single_use_blocks_is_hth(precoder, gamma, theta, phi):
     """The star oracle's Gram over a theta x phi sheet, against H^T H of the effective channel."""
     phi = None if precoder.model is Model.REAL else phi
     n, n_phi = precoder.n_streams, 1 if phi is None else len(phi)
-    out = np.full((n, n, len(theta) * n_phi), np.nan)
-    gram = _gram(gamma, theta, phi, _gram_plan(precoder), out)
+    plan = _gram_plan(precoder)
+    entries = plan[2]
+    out = np.full((len(entries), len(theta) * n_phi), np.nan)
+    gram = _gram(gamma, theta, phi, plan, out)
     j = np.arange(len(theta) * n_phi)  # sheet point j is theta j // n_phi and phi j % n_phi
     params = ChannelParams(gamma, theta[j // n_phi], None if phi is None else phi[j % n_phi])
     h = effective_channel(params, precoder, SNR).matrix
     hth = np.swapaxes(h, -1, -2) @ h
-    upper, lower = np.triu_indices(n), np.tril_indices(n, -1)
-    assert gram.shape == hth.shape and np.shares_memory(gram, out)
-    assert np.abs(gram[:, upper[0], upper[1]] - hth[:, upper[0], upper[1]]).max() < 1e-12
-    assert np.isnan(gram[:, lower[0], lower[1]]).all()  # the kernel reads only the upper triangle
+    assert gram.shape == out.shape and np.shares_memory(gram, out)
+    assert entries[:n] == [(a, a) for a in range(n)]  # the diagonal first, then the upper triangle
+    assert all(a < b for a, b in entries[n:])
+    rows, cols = np.array(entries).T
+    assert np.abs(gram - hth[:, rows, cols].T).max() < 1e-12
+    upper = set(zip(*np.triu_indices(n)))
+    for a, b in upper - set(entries):  # an entry the plan leaves out is 0 in H^T H
+        assert np.abs(hth[:, a, b]).max() < 1e-12

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdlsic import capacity
-from pdlsic.channel import ChannelParams, Model, SnrSpec, lattice, lattice_axes
+from pdlsic.channel import ChannelParams, Model, SnrSpec, channel_matrix, lattice, lattice_axes
 from pdlsic.equalize import _statistics, lmmse_equalizer, stream_statistics
 from pdlsic.precode import (
     Precoder,
@@ -90,10 +90,17 @@ def random_grams(draw):
 
 
 def sheet_gram(precoder: Precoder, gamma, theta, phi) -> np.ndarray:
-    """The star oracle's ``(S, n, n)`` Gram over (gamma, theta) rows x the phi axis."""
+    """The star oracle's Gram over (gamma, theta) rows x the phi axis as an ``(S, n, n)`` stack.
+
+    The entries the plan leaves out, and the lower triangle, are 0.0.
+    """
     n, n_phi = precoder.n_streams, 1 if phi is None else len(phi)
-    out = np.zeros((n, n, len(theta) * n_phi))
-    return capacity._gram(gamma, theta, phi, capacity._gram_plan(precoder), out)
+    plan = capacity._gram_plan(precoder)
+    rows = capacity._gram(gamma, theta, phi, plan, np.empty((len(plan[2]), len(theta) * n_phi)))
+    stack = np.zeros((rows.shape[1], n, n))
+    for (a, b), row in zip(plan[2], rows):
+        stack[:, a, b] = row
+    return stack
 
 
 @st.composite
@@ -488,7 +495,7 @@ class TestSlabs:
             return gram_of(gamma, theta, phi, plan, out)
 
         def recording_kernel(gram, snr):
-            sizes.append(gram.shape[0])
+            sizes.append(len(gram[0, 0]))
             return kernel(gram, snr)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -514,7 +521,7 @@ class TestSlabs:
         kernel = capacity.successive_stream_snrs
 
         def counting(gram, snr):
-            sizes.append(gram.shape[0])
+            sizes.append(len(gram[0, 0]))
             return kernel(gram, snr)
 
         monkeypatch.setattr(capacity, "successive_stream_snrs", counting)
@@ -522,6 +529,41 @@ class TestSlabs:
         assert rep.passed
         assert len(sizes) == calls
         assert sum(sizes) == 201 * 256 * (64 if model is Model.COMPLEX else 1)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_plan_leaves_out_exactly_the_entries_zero_on_every_slab(self, model, monkeypatch):
+        # on every slab of the default grid each entry a plan keeps is nonzero somewhere, and
+        # each it leaves out is 0 in H^T H = sum_j G_j^T (M^T M) G_j, G_j the rows of stream block j
+        n, d = 2 * model.dim, model.dim
+        pres = [UNIVERSAL[model], identity_precoder(model),
+                permute_columns(UNIVERSAL[model], (0, 2, 1, 3) + tuple(range(4, n)))]
+        plans = [capacity._gram_plan(pre) for pre in pres]
+        assert [len(plan[2]) for plan in plans] == ([20, 16, 20] if n == 8 else [8, 6, 8])
+        left_out = []
+        for pre, plan in zip(pres, plans):
+            g = pre.entries.reshape(2, d, n)
+            w = np.einsum("jka,jlb->klab", g, g).reshape(d * d, n, n)
+            left = [(a, b) for a, b in zip(*np.triu_indices(n)) if (a, b) not in plan[2]]
+            left_out.append(w[:, [a for a, _ in left], [b for _, b in left]])
+        slabs, gram_of = [], capacity._gram
+
+        def recording_gram(gamma, theta, phi, plan, out):
+            slabs.append((gamma.copy(), theta.copy(), phi))
+            return gram_of(gamma, theta, phi, plan, out)
+
+        monkeypatch.setattr(capacity, "_gram", recording_gram)
+        monkeypatch.setattr(capacity, "successive_stream_snrs", lambda gram, snr: np.diagonal(gram))
+        capacity.verify_star_property(pres[0], 0.599, 20.0)
+        for gamma, theta, phi in slabs:
+            n_phi = 1 if phi is None else len(phi)
+            j = np.arange(len(theta) * n_phi)
+            m = channel_matrix(ChannelParams(gamma[j // n_phi], theta[j // n_phi],
+                                             None if phi is None else phi[j % n_phi]))
+            mtm = (np.swapaxes(m, -1, -2) @ m).reshape(len(j), d * d)
+            for plan, w in zip(plans, left_out):
+                rows = gram_of(gamma, theta, phi, plan, np.empty((len(plan[2]), len(j))))
+                assert (rows != 0.0).any(axis=1).all()
+                assert np.abs(mtm @ w).max(initial=0.0) < 1e-12
 
 
 class TestSuccessiveStreamSnrs:
@@ -570,6 +612,27 @@ class TestSuccessiveStreamSnrs:
     def test_skipping_zeros_keeps_every_bit(self, gram, snr):
         assert np.array_equal(capacity.successive_stream_snrs(gram, snr),
                               dense_stream_snrs(gram, snr))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sheet_grams(), st.floats(1e-6, 1e8), st.booleans())
+    def test_entry_form_keeps_every_bit(self, gram, snr, none_for_zeros):
+        # the oracle's form: one row per upper-triangle entry, None for an entry that is 0.0
+        # throughout (or, when drawn so, its row of zeros), stream i's SNRs written over row (i, i)
+        stack = gram.reshape(-1, *gram.shape[-2:])
+        n = stack.shape[-1]
+        entries = np.empty((n, n), object)
+        for a, b in zip(*np.triu_indices(n)):
+            if a == b or stack[:, a, b].any() or not none_for_zeros:
+                entries[a, b] = stack[:, a, b].copy()
+        off = {(a, b): row.copy() for (a, b), row in np.ndenumerate(entries)
+               if a < b and row is not None}
+        got = capacity.successive_stream_snrs(entries, snr)
+        assert all(row is entries[i, i] for i, row in enumerate(got))
+        got = np.stack(list(got), axis=-1)
+        assert np.array_equal(got, capacity.successive_stream_snrs(stack, snr))
+        assert np.array_equal(got, dense_stream_snrs(stack, snr))
+        for (a, b), row in off.items():
+            assert np.array_equal(entries[a, b], row)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_keeps_an_entry_that_is_zero_at_some_points_only(self, model):

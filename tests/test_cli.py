@@ -280,6 +280,23 @@ class TestVerify:
         assert detail["lhs_point"]["phi"] is not None
         assert len(detail["min_stream_points"]) == 8
 
+    def test_star_property_reads_snrs_through_the_public_kernel(self, capsys, tmp_path, monkeypatch):
+        # the oracle's SNRs come back through capacity.successive_stream_snrs(gram, snr), so
+        # a two-argument wrapper that scales them moves lhs_bits on both models
+        argv = ["verify", "--suite", "star-property", "--model", "both", "--alpha", "0.599",
+                "--n-gamma", "1", "--n-theta", "8", "--n-phi", "4", "--out"]
+        code, _, _ = run_cli([*argv, str(tmp_path / "plain.json")], capsys)
+        assert code == 0
+        kernel = capacity.successive_stream_snrs
+        monkeypatch.setattr(capacity, "successive_stream_snrs",
+                            lambda gram, snr: kernel(gram, snr) * 1.001)
+        code, _, _ = run_cli([*argv, str(tmp_path / "scaled.json")], capsys)
+        assert code == 0
+        plain, scaled = (json.loads((tmp_path / f"{name}.json").read_text())["detail"]
+                         for name in ("plain", "scaled"))
+        for model in ("real", "complex"):
+            assert scaled[model]["lhs_bits"] > plain[model]["lhs_bits"]
+
     def test_star_property_identity_fails(self, capsys):
         code, _, _ = run_cli(
             ["verify", "--suite", "star-property", "--alpha", "0.599", "--model", "real",
