@@ -23,6 +23,11 @@ pdlsic curves --pdl-db 6 --snr-db-step 0.001 > "$tmp/curves_stdout.csv"
 pdlsic curves --pdl-db 6 --snr-db-step 0.001 --out "$tmp/curves_out.csv"
 cmp "$tmp/curves_stdout.csv" "$tmp/curves_out.csv"
 
+# curves from -60 to 130 dB, in e-0x and fixed notation, is the same bytes as format(v, ".12g") per value
+pdlsic curves --alpha 0.9 --snr-db-min -60 --snr-db-max 130 --snr-db-step 0.01 --out "$tmp/curves_notation.csv"
+python -c 'import math, sys, numpy as np; from pdlsic import capacity as c; a = 0.9; d = np.minimum(-60.0 + 0.01 * np.arange(math.floor(190.0 / 0.01 + 1e-9) + 1), 130.0); s = 10.0 ** (d / 10.0); cols = [d, c.c_awgn(s), c.c_compound(a, s), c.c_compound_approx(a, s), c.c_parallel(a, s), c.c_parallel_approx(a, s), c.c_nonjoint(a, s)]; sys.stdout.write("snr_db,c_awgn,c_compound,c_compound_approx,c_parallel,c_parallel_approx,c_nonjoint\n" + "".join(",".join(format(float(v), ".12g") for v in row) + "\n" for row in zip(*cols)))' > "$tmp/curves_notation_ref.csv"
+cmp "$tmp/curves_notation.csv" "$tmp/curves_notation_ref.csv"
+
 # a fixed config gives a byte-identical report: reference, fast-fading and Grid runs
 pdlsic simulate --config configs/lmmse_sic_6db.json --out "$tmp/report1.json"
 pdlsic simulate --config configs/lmmse_sic_6db.json --out "$tmp/report2.json"

@@ -314,20 +314,29 @@ def _gram_plan(precoder: Precoder) -> tuple:
     return [t_pairs[k] for k in keep], p_pairs, entries, coef
 
 
-def _gram(gamma, theta, phi, plan: tuple, out: np.ndarray) -> np.ndarray:
-    """The plan's Gram entries over a slab: R (gamma, theta) rows x the ``phi`` axis (None: real).
+def _phi_factor(plan: tuple, phi) -> np.ndarray:
+    """The ``(E, T, n_phi)`` phi side of the plan's entries over the ``phi`` axis (None: real).
+
+    It is the same for every slab of the axis, so :func:`verify_star_property`
+    builds it once a call.
+    """
+    _, p_pairs, _, coef = plan
+    p = channel_factors(0.0, 0.0, phi)[1]
+    return coef @ np.array([np.atleast_1d(p[v] * p[y]) for v, y in p_pairs])
+
+
+def _gram(gamma, theta, side: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
+    """The plan's Gram entries over a slab: R (gamma, theta) rows x the phi axis of ``side``.
 
     ``gamma`` and ``theta`` are paired ``(R,)`` arrays, row r at ``(gamma[r],
     theta[r])``.  Each entry is the rank-T product of an ``(R, T)`` row factor
-    and a ``(T, n_phi)`` phi-factor from :func:`_gram_plan`, all in one
+    and its ``(T, n_phi)`` slice of ``side``, from :func:`_phi_factor`, all in one
     batched matmul into row e of the contiguous ``out`` of shape ``(E, S)``,
     S = R * n_phi, slab point j at row ``j // n_phi`` and phi ``j % n_phi``.
     """
-    t_pairs, p_pairs, _, coef = plan
-    t, p = channel_factors(gamma, theta, phi)
-    tt = np.stack([t[u] * t[x] for u, x in t_pairs], axis=-1)
-    pp = np.array([np.atleast_1d(p[v] * p[y]) for v, y in p_pairs])
-    np.matmul(tt, coef @ pp, out=out.reshape(len(coef), len(theta), pp.shape[1]))
+    t = channel_factors(gamma, theta)[0]
+    tt = np.stack([t[u] * t[x] for u, x in plan[0]], axis=-1)
+    np.matmul(tt, side, out=out.reshape(len(side), len(theta), side.shape[2]))
     return out
 
 
@@ -374,6 +383,7 @@ def verify_star_property(
     runs = max(1, rows // per)
     ends = [rows * k // runs for k in range(runs + 1)]  # per to 2 * per - 1 rows each
     plan = _gram_plan(precoder)
+    side = _phi_factor(plan, phi)  # the same for every slab
     n, entries = precoder.n_streams, plan[2]
     width = -(-rows // runs) * n_phi  # points in the largest slab
     buf, sums = np.empty(len(entries) * width), np.empty(width)  # one of each for every slab
@@ -389,7 +399,7 @@ def verify_star_property(
     for r0, r1 in zip(ends, ends[1:]):
         r = np.arange(r0, r1)
         size = len(r) * n_phi
-        slab = _gram(gammas[r // n_theta], theta[r % n_theta], phi, plan,
+        slab = _gram(gammas[r // n_theta], theta[r % n_theta], side, plan,
                      buf[: len(entries) * size].reshape(-1, size))
         for (a, b), row in zip(entries, slab):
             gram[a, b] = row

@@ -67,8 +67,6 @@ MAX_CURVE_ROWS = 10**6
 #: Rows that ``curves`` computes, formats and writes at a time.
 CURVE_CHUNK_ROWS = 4096
 
-_CURVE_ROW = ",".join(["%.12g"] * len(CURVE_COLUMNS)) + "\n"
-
 #: Relative tolerance of the numeric stream SNRs against their closed forms.
 CLOSED_FORM_TOL = 1e-9
 
@@ -152,8 +150,8 @@ def _curve_chunks(alpha: float, snr_db_min: float, snr_db_max: float, step: floa
     """The ``curves`` CSV: its header, then the rows in chunks of ``CURVE_CHUNK_ROWS``.
 
     Each chunk computes its own slice of the SNR grid (the columns are
-    elementwise in it) and formats all its values in one ``%`` operation;
-    ``"%.12g" % x`` prints exactly what ``format(x, ".12g")`` does.
+    elementwise in it) and :func:`_format_rows` prints each value as
+    ``"%.12g" % x``, which is exactly what ``format(x, ".12g")`` prints.
     """
     yield ",".join(CURVE_COLUMNS) + "\n"
     for start in range(0, rows, CURVE_CHUNK_ROWS):
@@ -169,7 +167,107 @@ def _curve_chunks(alpha: float, snr_db_min: float, snr_db_max: float, step: floa
             capacity.c_parallel_approx(alpha, snr),
             capacity.c_nonjoint(alpha, snr),
         ])
-        yield (_CURVE_ROW * len(block)) % tuple(block.ravel().tolist())
+        yield _format_rows(block)
+
+
+@functools.cache
+def _digit_tables() -> tuple:
+    """``(words, last, runs, p10)``, the tables of :func:`_format_rows`, built on first use.
+
+    ``words``: the four ASCII digits of 0-9999 as one uint32 each, then ``.ddd`` for
+    0-999.  ``last[j, g]``: the place after the point of the last nonzero digit of
+    fraction group j when it is g (0 for g = 0).  ``runs[32 * a + b]``: the mask of
+    columns a to b of a 32-byte row.  ``p10[k]``: 10**k, exact.
+    """
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    chars = (48 + digits).astype(np.uint8)
+    dots = chars[:1000].copy()
+    dots[:, 0] = ord(".")
+    place = 3 - np.argmax(digits[:, ::-1] != 0, axis=1) + 4 * np.arange(4)[:, None]
+    col = np.arange(32)
+    runs = (col >= col[:, None, None]) & (col <= col[:, None])
+    return (np.concatenate([chars, dots]).view(np.uint32).ravel(),
+            np.where(g > 0, place, 0).astype(np.int8),
+            runs.reshape(-1, 32).view(np.uint64),
+            np.array([float(10**k) for k in range(18)]))
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """The rows of ``block`` as CSV lines, each value exactly as ``"%.12g" % v`` prints it.
+
+    The values that ``%.12g`` prints in fixed notation (finite, nonzero, decimal
+    exponent X in [-4, 11] after rounding to 12 digits) are formatted in numpy.
+    One multiply by an exact 10**k gives the 12-digit mantissa m within 0.5 ulp,
+    under 6.2e-5, so ``rint(m)`` is the correctly rounded digits r unless m is
+    within 1e-3 of a half-integer.  Each value has a 32-byte row: the integer
+    part of r / 10**k right-aligned in columns 4-15, the point in 16 and 15
+    fraction places in 17-31, written as 4-digit table words; its separator
+    (and sign) goes just before its first digit, and one compress keeps each
+    row's run.  Every other value (zeros, exponent notation, near-ties,
+    non-finite) is printed by ``%`` in one pass, right-aligned in its row; a
+    block of which they are two fifths or more is printed by ``%`` whole.
+    """
+    rows, cols = block.shape
+    flat = block.ravel()
+    n = flat.size
+    m = np.abs(flat)
+    fast = (m >= 9.9999999999e-5) & (m < 1e12)  # all of X in [-4, 11], and a few more
+    if 5 * np.count_nonzero(fast) <= 3 * n:  # % is faster on the whole block
+        return ((",".join(["%.12g"] * cols) + "\n") * rows) % tuple(flat.tolist())
+    words, last, runs, p10 = _digit_tables()
+    np.copyto(m, 1.0, where=~fast)
+    k = (11.0 - np.floor(np.log10(m))).astype(np.intp)  # m * 10**k in [1e11, 1e12)
+    m *= p10[k]
+    off = np.flatnonzero((m < 1e11) | (m >= 1e12))  # log10 was one off
+    k[off] += (m[off] < 1e11).astype(np.intp) - (m[off] >= 1e12)
+    np.clip(k, 0, 17, out=k)
+    m[off] = np.abs(flat[off]) * p10[k[off]]
+    r = np.rint(m)
+    fast &= (np.abs(m - r) < 0.499) & (r >= 1e11)
+    carry = r >= 1e12  # rounds up to 10**12: one digit more
+    r[carry] = 1e11
+    k -= carry
+    fast &= (k >= 0) & (k <= 15)  # X = 11 - k
+    np.clip(k, 0, 15, out=k)
+    np.copyto(r, 1e11, where=~fast)
+    np.floor(np.divide(r, p10[k], out=m), out=m)
+    ip = m.astype(np.int64)  # the integer part, then 15 fraction places, both exact
+    frac = ((r - m * p10[k]) * p10[15 - k]).astype(np.int64)
+    start = (14 - np.maximum(11 - k, 0) - (flat < 0)).astype(np.int16)  # separator column
+    del m, r, k  # freed before the row buffers are made: a lower peak of memory
+    buf = np.empty((n, 8), np.uint32)  # per value: 4 spare bytes, 3 integer words, 4 fraction
+    top = ip.max()
+    for w, scale in ((1, 10**8), (2, 10**4)):  # integer words past the last never print
+        if top >= scale:
+            q = ip // scale
+            ip -= q * scale
+            buf[:, w] = np.take(words, q)
+    buf[:, 3] = np.take(words, ip)
+    hi = frac // 10**8
+    hi, lo = hi.astype(np.int32), (frac - hi * 10**8).astype(np.int32)  # 7 and 8 places
+    q_hi, q_lo = hi // 10**4, lo // 10**4
+    nf = np.zeros(n, np.int8)  # the places after the point that print
+    for j, g in enumerate((q_hi, hi - q_hi * 10**4, q_lo, lo - q_lo * 10**4)):
+        np.maximum(nf, np.take(last[j], g), out=nf)
+        buf[:, 4 + j] = np.take(words[10000:] if j == 0 else words, g)
+    del ip, frac, hi, lo, q_hi, q_lo
+    end = 15 + nf.astype(np.int16) + (nf > 0)
+    buf8 = buf.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # at most 19 characters, "-1.23456789012e-308"
+        text = np.frombuffer((("%20.12g" * slow.size) % tuple(flat[slow].tolist())).encode(),
+                             np.uint8).reshape(-1, 20)
+        buf8[slow, 12:] = text
+        start[slow], end[slow] = 31 - np.count_nonzero(text != 32, axis=1), 31
+    at = np.arange(0, 32 * n, 32) + start
+    buf8.ravel()[at] = ord(",")
+    buf8.ravel()[at[::cols]] = ord("\n")
+    buf8.ravel()[at[fast & (flat < 0)] + 1] = ord("-")
+    start[0] += 1  # the block starts with its first value
+    text = buf8[np.take(runs, 32 * start + end, axis=0).view(bool)]
+    del buf, buf8
+    return text.tobytes().decode() + "\n"
 
 
 def cmd_penalties(args) -> int:

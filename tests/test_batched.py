@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pdlsic.capacity import _gram, _gram_plan
+from pdlsic.capacity import _gram, _gram_plan, _phi_factor
 from pdlsic.channel import ChannelParams, Model, SnrSpec, channel_matrix
 from pdlsic.equalize import (
     StreamScheme,
@@ -156,7 +156,7 @@ def test_gram_from_single_use_blocks_is_hth(precoder, gamma, theta, phi):
     plan = _gram_plan(precoder)
     entries = plan[2]
     out = np.full((len(entries), len(theta) * n_phi), np.nan)
-    gram = _gram(gamma, theta, phi, plan, out)
+    gram = _gram(gamma, theta, _phi_factor(plan, phi), plan, out)
     j = np.arange(len(theta) * n_phi)  # sheet point j is theta j // n_phi and phi j % n_phi
     params = ChannelParams(gamma, theta[j // n_phi], None if phi is None else phi[j % n_phi])
     h = effective_channel(params, precoder, SNR).matrix

@@ -96,7 +96,8 @@ def sheet_gram(precoder: Precoder, gamma, theta, phi) -> np.ndarray:
     """
     n, n_phi = precoder.n_streams, 1 if phi is None else len(phi)
     plan = capacity._gram_plan(precoder)
-    rows = capacity._gram(gamma, theta, phi, plan, np.empty((len(plan[2]), len(theta) * n_phi)))
+    rows = capacity._gram(gamma, theta, capacity._phi_factor(plan, phi), plan,
+                          np.empty((len(plan[2]), len(theta) * n_phi)))
     stack = np.zeros((rows.shape[1], n, n))
     for (a, b), row in zip(plan[2], rows):
         stack[:, a, b] = row
@@ -490,9 +491,9 @@ class TestSlabs:
         seen, sizes = [], []
         gram_of, kernel = capacity._gram, capacity.successive_stream_snrs
 
-        def recording_gram(gamma, theta, phi, plan, out):
+        def recording_gram(gamma, theta, side, plan, out):
             seen.append(np.stack([gamma, theta]))
-            return gram_of(gamma, theta, phi, plan, out)
+            return gram_of(gamma, theta, side, plan, out)
 
         def recording_kernel(gram, snr):
             sizes.append(len(gram[0, 0]))
@@ -547,21 +548,23 @@ class TestSlabs:
             left_out.append(w[:, [a for a, _ in left], [b for _, b in left]])
         slabs, gram_of = [], capacity._gram
 
-        def recording_gram(gamma, theta, phi, plan, out):
-            slabs.append((gamma.copy(), theta.copy(), phi))
-            return gram_of(gamma, theta, phi, plan, out)
+        def recording_gram(gamma, theta, side, plan, out):
+            slabs.append((gamma.copy(), theta.copy()))
+            return gram_of(gamma, theta, side, plan, out)
 
         monkeypatch.setattr(capacity, "_gram", recording_gram)
         monkeypatch.setattr(capacity, "successive_stream_snrs", lambda gram, snr: np.diagonal(gram))
         capacity.verify_star_property(pres[0], 0.599, 20.0)
-        for gamma, theta, phi in slabs:
+        phi = lattice_axes(0.599, model, n_phi=capacity.GRID_N_PHI)[2]  # the oracle's default
+        for gamma, theta in slabs:
             n_phi = 1 if phi is None else len(phi)
             j = np.arange(len(theta) * n_phi)
             m = channel_matrix(ChannelParams(gamma[j // n_phi], theta[j // n_phi],
                                              None if phi is None else phi[j % n_phi]))
             mtm = (np.swapaxes(m, -1, -2) @ m).reshape(len(j), d * d)
             for plan, w in zip(plans, left_out):
-                rows = gram_of(gamma, theta, phi, plan, np.empty((len(plan[2]), len(j))))
+                rows = gram_of(gamma, theta, capacity._phi_factor(plan, phi), plan,
+                               np.empty((len(plan[2]), len(j))))
                 assert (rows != 0.0).any(axis=1).all()
                 assert np.abs(mtm @ w).max(initial=0.0) < 1e-12
 

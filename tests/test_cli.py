@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pdlsic import capacity, cli
+from pdlsic.channel import alpha_from_pdl_db
 from pdlsic.cli import CURVE_CHUNK_ROWS, CURVE_COLUMNS, main
 
 
@@ -35,6 +37,16 @@ def per_value_curves(alpha, snr_db_min, snr_db_max, step):
     lines = [",".join(CURVE_COLUMNS)]
     lines += [",".join(format(float(v), ".12g") for v in row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
+
+
+def per_value_rows(block):
+    """``block`` as CSV lines, one ``"%.12g" % v`` per value."""
+    return "".join(",".join("%.12g" % v for v in row) + "\n" for row in block.tolist())
+
+
+def neighbours(*values):
+    """Each value with the floats just below and just above it."""
+    return [w for v in values for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
 
 
 def assert_curves_match_per_value(alpha, snr_db_min, snr_db_max, step, tmp_path, capsys):
@@ -155,6 +167,24 @@ class TestCurves:
                                       tmp_path, capsys)
         assert len((tmp_path / "curves.csv").read_text().splitlines()) == rows + 1
 
+    @pytest.mark.parametrize(("flags", "bounds"), [
+        (["--pdl-db", "6"], (0.0, 30.0, 0.001)),  # the benchmark's 30001 rows
+        (["--alpha", "0.9"], (-300.0, 300.0, 0.1)),  # mostly exponent notation
+        (["--alpha", "0.9"], (-60.0, 130.0, 0.01)),
+        (["--alpha", "0"], (0.0, 30.0, 0.001)),
+        (["--alpha", "0.999999"], (0.0, 30.0, 0.001)),
+    ], ids=["pdl6-fine-grid", "exponent-heavy", "minus60-to-130", "alpha0", "alpha0.999999"])
+    def test_bytes_match_per_value_across_notations(self, flags, bounds, tmp_path, capsys):
+        lo, hi, step = bounds
+        argv = ["curves", *flags, f"--snr-db-min={lo!r}", f"--snr-db-max={hi!r}",
+                f"--snr-db-step={step!r}"]
+        code, printed, _ = run_cli(argv, capsys)
+        out = tmp_path / "curves.csv"
+        assert code == 0 and run_cli([*argv, "--out", str(out)], capsys) == (0, "", "")
+        alpha = alpha_from_pdl_db(6.0) if flags[0] == "--pdl-db" else float(flags[1])
+        expect = per_value_curves(alpha, lo, hi, step)
+        assert out.read_bytes() == printed.encode() == expect.encode()
+
     def test_alpha_flags_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["curves", "--alpha", "0.5", "--pdl-db", "6"])
@@ -176,6 +206,28 @@ class TestCurves:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage: " in err and "pdl_db 3100 overflows" in err
+
+
+class TestFormatRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+            st.floats(-1e12, 1e12), st.floats(-1e-3, 1e-3), st.floats())),
+        cols=st.integers(1, 8),
+    )
+    @example(values=np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]), cols=7)
+    @example(values=np.array(neighbours(1e-4, 1e-5, 1e11, 1e12, -1e-4)), cols=7)  # notations
+    @example(values=np.array([9.9999999999995, 0.99999999999995, 999999999999.5,
+                              9.99999999999995e-5, -9.9999999999995]), cols=3)  # carries
+    @example(values=np.array([0.1234567890125, 1.2345678901235, 100000000000.5,
+                              100000000001.5, -0.1234567890125]), cols=2)  # 12th-digit ties
+    def test_matches_percent_per_value(self, values, cols):
+        # alone the values may take the whole-block % path; after twice as many plain values
+        # they take the numpy one
+        assert cli._format_rows(values[None, :]) == per_value_rows(values[None, :])
+        filler = np.linspace(0.25, 40.0, 2 * len(values) + (-3 * len(values)) % cols)
+        block = np.concatenate([filler, values]).reshape(-1, cols)
+        assert cli._format_rows(block) == per_value_rows(block)
 
 
 class TestPenalties:
