@@ -39,6 +39,11 @@ pdlsic simulate --config configs/lmmse_sic_6db_grid.json --out "$tmp/grid1.json"
 pdlsic simulate --config configs/lmmse_sic_6db_grid.json --out "$tmp/grid2.json"
 cmp "$tmp/grid1.json" "$tmp/grid2.json"
 
+# the fast-fading simulate --out, its chunks in one workspace per run, is the same bytes under 1 and 2 BLAS threads
+OPENBLAS_NUM_THREADS=1 pdlsic simulate --config configs/lmmse_sic_6db_fastfade.json --out "$tmp/fastfade_threads1.json"
+OPENBLAS_NUM_THREADS=2 pdlsic simulate --config configs/lmmse_sic_6db_fastfade.json --out "$tmp/fastfade_threads2.json"
+cmp "$tmp/fastfade_threads1.json" "$tmp/fastfade_threads2.json"
+
 # a complex PAM(4) ZF-SIC run with a ragged last block is byte-identical
 printf '%s\n' '{"model": "ComplexEquivalent", "alpha": 0.599, "snr": {"snr_linear": 8}, "param_mode": "WorstCaseEdge", "scheme": "ZF-SIC", "trials": 2003, "seed": 42, "constellation": "PAM(4)", "block_size": 10}' > "$tmp/pam4.json"
 pdlsic simulate --config "$tmp/pam4.json" --out "$tmp/pam4_1.json"

@@ -109,15 +109,19 @@ def second_stage_statistics(effective: EffectiveChannel) -> StreamStats:
 
 
 def cancel_first_group(
-    h: np.ndarray, first_half_symbols: np.ndarray, received: np.ndarray
+    h: np.ndarray, first_half_symbols: np.ndarray, received: np.ndarray,
+    out: np.ndarray | None = None, residual: np.ndarray | None = None,
 ) -> np.ndarray:
     """H2^T (Y - H1 @ u_first) for the effective channel matrix ``h`` = [H1, H2].
 
     ``first_half_symbols`` are the true (genie) or decoded values of the
-    first group; both may carry a trailing batch axis.
+    first group; both may carry a trailing batch axis.  ``out`` and
+    ``residual``, if given, receive the result and Y - H1 @ u_first.
     """
     k = h.shape[-1] // 2
-    return _transpose(h[..., k:]) @ (received - h[..., :k] @ first_half_symbols)
+    residual = np.matmul(h[..., :k], first_half_symbols, out=residual)
+    np.subtract(received, residual, out=residual)
+    return np.matmul(_transpose(h[..., k:]), residual, out=out)
 
 
 def post_sic_streams(first_stage: np.ndarray, second_stage: np.ndarray) -> np.ndarray:

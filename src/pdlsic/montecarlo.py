@@ -9,9 +9,9 @@ is drawn block-major, one call per chunk of blocks, so block b reads the
 b-th segment of each stream whatever the chunk size; Gaussian symbols share
 the noise stream, the first n rows of each block's ``(2n, trials)`` segment.
 The channels and equalizers are built for runs of whole chunks, the
-arithmetic runs stacked over each chunk, and each stage's moments are
-reduced to running sums in block order, so a report is byte-identical for
-a fixed config and independent of the chunk size.  Reports for a given
+arithmetic runs stacked over each chunk in one workspace per run, and each
+stage's moments are reduced to running sums in block order, so a report is
+byte-identical for a fixed config and independent of the chunk size.  Reports for a given
 seed have changed twice: when this layout replaced one seed per block, and
 when WorstCaseEdge block parameters moved to the one uniform table of
 ``draw_params`` (UniformInterior and Grid parameters did not change).
@@ -56,11 +56,14 @@ from .precode import EffectiveChannel, effective_channel, universal_precoder
 
 #: Elements per chunk array of the per-block symbols or noise (a Gaussian
 #: draw of both is twice that): blocks of equal length are simulated C at a
-#: time, with C the largest count within this bound (at least one).  The
-#: channels of as many whole chunks as keep their ``(blocks, n, n)`` arrays
-#: within the bound are built in one call.  The bound keeps the arrays
-#: small; the report does not depend on it.
-CHUNK_ELEMENTS = 2**12
+#: time, with C the largest count within this bound (at least one).  A run
+#: allocates one workspace for its largest chunk: four such arrays (six for
+#: PAM) and each stage's ``(C + 1, 3, n, n)`` moment rows, 0.9 MB for the
+#: complex fast-fading config.  The channels of as many whole chunks as keep
+#: their ``(blocks, n, n)`` arrays within the bound are built in one call.
+#: The report does not depend on the bound; at 2**15 the fast-fading
+#: benchmark was within timing noise and the workspace doubled.
+CHUNK_ELEMENTS = 2**14
 
 _PAM_PATTERN = re.compile(r"^PAM\((\d+)\)$")
 _PAM_ORDERS = (2, 4, 8)
@@ -309,9 +312,13 @@ def _block_params(config: SimConfig, seed) -> ChannelParams:
     return draw_params(config.alpha, config.param_mode, config.model, seed, config.n_blocks)
 
 
-def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:
-    idx = np.rint((estimates / delta + (order - 1)) / 2.0)
-    return np.clip(idx, 0, order - 1).astype(np.int64)
+def _pam_slice(estimates: np.ndarray, delta: float, order: int, out=None) -> np.ndarray:
+    """The nearest PAM indices of ``estimates``, as floats, in ``out`` if given."""
+    idx = np.divide(estimates, delta, out=out)
+    idx += order - 1
+    idx /= 2.0
+    np.rint(idx, out=idx)
+    return np.clip(idx, 0, order - 1, out=idx)
 
 
 def _pam_delta(config: SimConfig, order: int) -> float:
@@ -319,22 +326,40 @@ def _pam_delta(config: SimConfig, order: int) -> float:
     return math.sqrt(3.0 * config.snr.snr_linear / (order**2 - 1.0))
 
 
+def _chunk_blocks(config: SimConfig, n: int) -> int:
+    """Blocks per chunk of full blocks: the most within CHUNK_ELEMENTS, and at least one."""
+    return max(1, CHUNK_ELEMENTS // (n * config.block_size))
+
+
 def _chunks(config: SimConfig, n: int):
     """``(start, stop, trials)`` runs of blocks of equal length, each within CHUNK_ELEMENTS.
 
     Every block holds ``block_size`` trials but the last, which holds the
     remainder when there is one and is then a chunk of its own.  A chunk
-    holds at most CHUNK_ELEMENTS // (n * trials) blocks, and at least one.
+    holds :func:`_chunk_blocks` blocks, the last chunk of full blocks as
+    many as are left.
     """
     full, last = divmod(config.trials, config.block_size)
-    size = max(1, CHUNK_ELEMENTS // (n * config.block_size))
+    size = _chunk_blocks(config, n)
     for start in range(0, full, size):
         yield start, min(start + size, full), config.block_size
     if last:
         yield full, full + 1, last
 
 
-def _block_draws(config: SimConfig, blocks_root, n: int):
+def _largest_chunk(config: SimConfig, n: int) -> tuple[int, int]:
+    """``(blocks, trials)`` of the largest chunk of :func:`_chunks`, its trials summed over its blocks."""
+    full, last = divmod(config.trials, config.block_size)
+    blocks = min(full, _chunk_blocks(config, n))
+    return max(blocks, 1), max(blocks * config.block_size, last)
+
+
+def _take(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The front of the flat buffer ``buffer`` as an array of ``shape``."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _block_draws(config: SimConfig, blocks_root, n: int, workspace=None):
     """Per chunk, ``(start, stop, u, idx, z)``: symbols, PAM indices (None if Gaussian), noise.
 
     Child 0 of ``blocks_root`` seeds the noise stream and child 1 the PAM
@@ -342,18 +367,29 @@ def _block_draws(config: SimConfig, blocks_root, n: int):
     b reads the b-th segment of each stream whatever the chunk size.
     Gaussian symbols share the noise stream: block b's ``(2n, trials)``
     segment holds its symbols in the first n rows and its noise in the rest.
+    The chunks are drawn into ``workspace``, a flat buffer with room for
+    two ``(C, n, T)`` arrays of the largest chunk (a new one if None), so a
+    chunk's arrays hold only until the next chunk is drawn.
     """
     noise, symbols = (np.random.default_rng(child) for child in blocks_root.spawn(2))
     order = pam_order(config.constellation)
     scale = math.sqrt(config.snr.snr_linear) if order is None else _pam_delta(config, order)
+    if workspace is None:
+        workspace = np.empty(2 * n * _largest_chunk(config, n)[1])
+    u_buf, z_buf = np.split(workspace, 2)  # PAM symbols and noise
     for start, stop, t in _chunks(config, n):
+        shape = (stop - start, n, t)
         if order is None:
-            w = noise.standard_normal((stop - start, 2 * n, t))
-            yield start, stop, scale * w[:, :n], None, w[:, n:]
+            w = noise.standard_normal(out=_take(workspace, (stop - start, 2 * n, t)))
+            u = w[:, :n]
+            u *= scale
+            yield start, stop, u, None, w[:, n:]
         else:
-            idx = symbols.integers(0, order, (stop - start, n, t))
-            u = scale * (2.0 * idx - (order - 1))
-            yield start, stop, u, idx, noise.standard_normal((stop - start, n, t))
+            idx = symbols.integers(0, order, shape)
+            u = np.multiply(2.0, idx, out=_take(u_buf, shape))
+            u -= order - 1
+            u *= scale
+            yield start, stop, u, idx, noise.standard_normal(out=_take(z_buf, shape))
 
 
 class _StageSums:
@@ -374,7 +410,7 @@ class _StageSums:
     the SNR jackknife is a ratio of block sums and needs them.
     """
 
-    def __init__(self, config: SimConfig, n: int):
+    def __init__(self, config: SimConfig, n: int, rows: np.ndarray | None = None):
         self.block_size = config.block_size
         self.full = 0
         self.sums = np.zeros((3, 3, n, n))  # (moments, deviations, squares) of (uu, uz, zz)
@@ -382,19 +418,18 @@ class _StageSums:
         self.ragged_trials = 0
         self.signal = np.empty((config.n_blocks, n))
         self.noise = np.empty((config.n_blocks, n))
-        # Reused by every chunk: a chunk's rows can pass 128 KiB (240 KiB for
-        # n = 8 and 10-trial blocks), which glibc malloc serves by mmap, so a
-        # fresh array per chunk would be page-faulted in anew each time.
-        self.rows = np.empty((0,) + self.sums.shape)
+        # Reused by every chunk, a flat buffer (a new one if None or too small):
+        # a running sum, then a chunk's (uu, uz, zz) moments, row by row
+        self.rows = np.empty(0) if rows is None else rows
 
     def add(self, start: int, u: np.ndarray, z: np.ndarray) -> None:
         """Add blocks ``start, start + 1, ...`` of signal ``u`` and noise ``z``, each ``(C, n, T)``."""
         count, n, trials = u.shape
-        if len(self.rows) <= count:
-            self.rows = np.empty((count + 1,) + self.sums.shape)
-        rows = self.rows[:count + 1]
-        rows[0] = self.sums
-        moments = rows[1:, 0]
+        shape = (count + 1, 3, n, n)
+        if self.rows.size < math.prod(shape):
+            self.rows = np.empty(math.prod(shape))
+        rows = _take(self.rows, shape)
+        moments = rows[1:]
         np.matmul(u, u.swapaxes(1, 2), out=moments[:, 0])
         np.matmul(u, z.swapaxes(1, 2), out=moments[:, 1])
         np.matmul(z, z.swapaxes(1, 2), out=moments[:, 2])
@@ -411,10 +446,16 @@ class _StageSums:
             su, sz = root[:n], root[n:]
             self.shift = moments[0].copy()
             self.scale = np.array([np.outer(su, su), np.outer(su, sz), np.outer(sz, sz)])
-        dev = np.subtract(moments, self.shift, out=rows[1:, 1])
-        dev /= self.scale
-        np.square(dev, out=rows[1:, 2])
-        self.sums = np.add.reduce(rows, axis=0)  # along the slow axis: row by row, in order
+        # each sum is reduced along the slow axis: row by row, in block order
+        rows[0] = self.sums[0]
+        np.add.reduce(rows, axis=0, out=self.sums[0])
+        moments -= self.shift
+        moments /= self.scale
+        rows[0] = self.sums[1]
+        np.add.reduce(rows, axis=0, out=self.sums[1])
+        np.square(moments, out=moments)
+        rows[0] = self.sums[2]
+        np.add.reduce(rows, axis=0, out=self.sums[2])
         self.full += count
 
     def stats(self) -> EmpiricalStats:
@@ -463,10 +504,11 @@ def _simulate_blocks(config: SimConfig, params: ChannelParams, blocks_root):
     so that long blocks, one to a chunk, do not cost one build each.  Per
     chunk, the symbols and noise come from :func:`_block_draws`, and the
     channel output, equalization, moment products, cancellation and PAM
-    slicing are stacked calls, bitwise equal to the same call per block.
-    Only the stage sums of :class:`_StageSums` outlive a chunk.  A stage has
-    n streams (n/2 in stage 2).  Errors are None or ``(2, n)`` totals:
-    genie, then decision-directed cancellation (the same without SIC).
+    slicing are stacked calls, bitwise equal to the same call per block,
+    that write into one workspace per run.  Only the stage sums of
+    :class:`_StageSums` outlive a chunk.  A stage has n streams (n/2 in
+    stage 2).  Errors are None or ``(2, n)`` totals: genie, then
+    decision-directed cancellation (the same without SIC).
     """
     scheme = config.scheme
     precoder = universal_precoder(config.model) if scheme.uses_precoder else None
@@ -474,37 +516,60 @@ def _simulate_blocks(config: SimConfig, params: ChannelParams, blocks_root):
     k = n // 2
     order = pam_order(config.constellation)
     delta = None if order is None else _pam_delta(config, order)
-    stages = [_StageSums(config, n)] + ([_StageSums(config, k)] if scheme.is_sic else [])
     errors = None if order is None else np.zeros((2, n), dtype=np.int64)
+    # One allocation per run holds every chunk array: the draws, whose noise
+    # becomes y; H u, then E y and the stage-0 noise, then the stage-1
+    # estimate; Lambda u, then the cancellation residual; for PAM, the
+    # first-stage decisions and the stage-1 noise; the rows of each stage.
+    # Freed, one buffer this large lifts glibc's mmap and trim thresholds
+    # past a run's working set, so later runs take no page faults; apart,
+    # the same arrays took about 350 faults a run.
+    blocks, trials = _largest_chunk(config, n)
+    chunk = n * trials
+    sizes = [2 * chunk] + [chunk] * (2 if order is None else 4) + [(blocks + 1) * 3 * n * n]
+    if scheme.is_sic:
+        sizes.append((blocks + 1) * 3 * k * k)
+    draws, e_buf, v_buf, *bufs = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    if order is not None:
+        decided_buf, x_buf, *bufs = bufs
+    stages = [_StageSums(config, m, rows) for m, rows in zip((n, k), bufs)]
 
-    def errors_of(estimates, idx):
-        return (_pam_slice(estimates, delta, order) != idx).sum(axis=(0, 2))
+    def errors_of(estimates, idx):  # slices ``estimates`` in place
+        return (_pam_slice(estimates, delta, order, out=estimates) != idx).sum(axis=(0, 2))
 
     built, channels = range(0), None
-    for start, stop, u, idx, z in _block_draws(config, blocks_root, n):
+    for start, stop, u, idx, z in _block_draws(config, blocks_root, n, draws):
         if stop > built.stop:
             span = (stop - start) * max(1, CHUNK_ELEMENTS // (n * n * (stop - start)))
             built = range(start, min(start + span, config.n_blocks))
             channels = _channels(config, params, precoder, built)
         h, e, lam = (a[start - built.start:stop - built.start] for a in channels)
-        y = h @ u + z
-        ey = e @ y
-        u_tilde = lam * u
-        stages[0].add(start, u_tilde, ey - u_tilde)
+        c, _, t = u.shape
+        y = np.add(z, np.matmul(h, u, out=_take(e_buf, u.shape)), out=z)  # y = H u + z
+        ey = np.matmul(e, y, out=_take(e_buf, u.shape))
+        u_tilde = np.multiply(lam, u, out=_take(v_buf, u.shape))
         if order is not None:
-            idx1_hat = _pam_slice(ey / lam, delta, order)
-            first = (idx1_hat != idx).sum(axis=(0, 2))
+            idx1_hat = np.divide(ey, lam, out=_take(decided_buf, u.shape))
+            first = errors_of(idx1_hat, idx)
             errors[:, :k] += first[:k]
             if not scheme.is_sic:
                 errors[:, k:] += first[k:]
+        stages[0].add(start, u_tilde, np.subtract(ey, u_tilde, out=ey))
 
         if scheme.is_sic:
-            y_hat = cancel_first_group(h, u[:, :k], y)
-            stages[1].add(start, u[:, k:], y_hat - u[:, k:])
+            second = (c, k, t)
+            residual = _take(v_buf, u.shape)
+            y_hat = cancel_first_group(h, u[:, :k], y, _take(e_buf, second), residual)
+            noise = _take(x_buf, second) if order is not None else y_hat
+            stages[1].add(start, u[:, k:], np.subtract(y_hat, u[:, k:], out=noise))
             if order is not None:
-                u_dd = delta * (2.0 * idx1_hat[:, :k] - (order - 1))
                 errors[0, k:] += errors_of(y_hat, idx[:, k:])
-                errors[1, k:] += errors_of(cancel_first_group(h, u_dd, y), idx[:, k:])
+                u_dd = idx1_hat[:, :k]  # decided first-group symbols, in place
+                u_dd *= 2.0
+                u_dd -= order - 1
+                u_dd *= delta
+                y_dd = cancel_first_group(h, u_dd, y, _take(x_buf, second), residual)
+                errors[1, k:] += errors_of(y_dd, idx[:, k:])
     return stages, errors
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -175,7 +176,10 @@ class TestChunking:
         dict(param_mode=SampleMode.GRID, constellation="PAM(8)", trials=1000, block_size=3),
         dict(model=Model.COMPLEX, trials=700, block_size=1000),  # a single block
     ])
-    @pytest.mark.parametrize("bound", [1, 300, 2**30])
+    # 2500 leaves a short last chunk of full blocks on every multi-chunk config
+    # (14 of 200, 72 of 428, 125 of 333 blocks), so only the front of the
+    # workspace holds it; 2**14 is the default
+    @pytest.mark.parametrize("bound", [1, 300, 2500, 2**14, 2**30])
     def test_chunk_bound_does_not_change_the_report(self, monkeypatch, overrides, bound):
         cfg = config(report_blocks=True, **overrides)
         default = run(cfg).to_json()
@@ -197,6 +201,30 @@ class TestChunking:
         monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 4 * 64)
         assert run(cfg).to_json() == default
         assert built == [range(0, 4), range(4, 6)]
+
+
+class TestMemory:
+    def test_peak_grows_by_the_per_block_arrays_alone(self):
+        # complex fast-fading LMMSE-SIC: a run keeps 2n floats per stage and
+        # block (n = 8, then 4) and 3 parameter floats per block; its chunk
+        # arrays share one workspace sized by CHUNK_ELEMENTS, not by the run
+        per_block = 8 * (2 * 8 + 2 * 4 + 3)
+
+        def peak(blocks):
+            cfg = config(model=Model.COMPLEX, trials=10 * blocks, block_size=10)
+            run(cfg)  # one-off caches are not the run's
+            tracemalloc.start()
+            try:
+                run(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(800), peak(8000)
+        assert large - small <= 7200 * per_block + 32 * 1024
+        # the fixed part: the workspace of about 7 chunk arrays, the channels of
+        # the chunks built at once and their temporaries (1.6 MB at 2**14)
+        assert small - 800 * per_block <= 16 * 8 * montecarlo.CHUNK_ELEMENTS
 
 
 class TestChannels:
