@@ -11,10 +11,11 @@ the noise stream, the first n rows of each block's ``(2n, trials)`` segment.
 The channels and equalizers are built for runs of whole chunks, the
 arithmetic runs stacked over each chunk in one workspace per run, and each
 stage's moments are reduced to running sums in block order, so a report is
-byte-identical for a fixed config and independent of the chunk size.  Reports for a given
-seed have changed twice: when this layout replaced one seed per block, and
-when WorstCaseEdge block parameters moved to the one uniform table of
-``draw_params`` (UniformInterior and Grid parameters did not change).
+byte-identical for a fixed config and independent of the chunk size.
+Reports for a given seed have changed twice: when this layout replaced one
+seed per block, and when WorstCaseEdge block parameters moved to the one
+uniform table of ``draw_params`` (UniformInterior and Grid parameters did
+not change).
 Standard errors come from a per-block jackknife, which respects block
 correlation without distributional assumptions; the jackknife of the
 second moments runs on the sums, and only the stream signal and noise of
@@ -312,13 +313,13 @@ def _block_params(config: SimConfig, seed) -> ChannelParams:
     return draw_params(config.alpha, config.param_mode, config.model, seed, config.n_blocks)
 
 
-def _pam_slice(estimates: np.ndarray, delta: float, order: int, out=None) -> np.ndarray:
-    """The nearest PAM indices of ``estimates``, as floats, in ``out`` if given."""
-    idx = np.divide(estimates, delta, out=out)
-    idx += order - 1
-    idx /= 2.0
-    np.rint(idx, out=idx)
-    return np.clip(idx, 0, order - 1, out=idx)
+def _pam_slice(estimates: np.ndarray, delta: float, order: int) -> np.ndarray:
+    """``estimates`` overwritten with their nearest PAM indices, as floats."""
+    estimates /= delta
+    estimates += order - 1
+    estimates /= 2.0
+    np.rint(estimates, out=estimates)
+    return np.clip(estimates, 0, order - 1, out=estimates)
 
 
 def _pam_delta(config: SimConfig, order: int) -> float:
@@ -326,32 +327,20 @@ def _pam_delta(config: SimConfig, order: int) -> float:
     return math.sqrt(3.0 * config.snr.snr_linear / (order**2 - 1.0))
 
 
-def _chunk_blocks(config: SimConfig, n: int) -> int:
-    """Blocks per chunk of full blocks: the most within CHUNK_ELEMENTS, and at least one."""
-    return max(1, CHUNK_ELEMENTS // (n * config.block_size))
-
-
 def _chunks(config: SimConfig, n: int):
     """``(start, stop, trials)`` runs of blocks of equal length, each within CHUNK_ELEMENTS.
 
     Every block holds ``block_size`` trials but the last, which holds the
     remainder when there is one and is then a chunk of its own.  A chunk
-    holds :func:`_chunk_blocks` blocks, the last chunk of full blocks as
-    many as are left.
+    holds at most CHUNK_ELEMENTS // (n * trials) blocks, and at least one;
+    the first chunk is the largest.
     """
     full, last = divmod(config.trials, config.block_size)
-    size = _chunk_blocks(config, n)
+    size = max(1, CHUNK_ELEMENTS // (n * config.block_size))
     for start in range(0, full, size):
         yield start, min(start + size, full), config.block_size
     if last:
         yield full, full + 1, last
-
-
-def _largest_chunk(config: SimConfig, n: int) -> tuple[int, int]:
-    """``(blocks, trials)`` of the largest chunk of :func:`_chunks`, its trials summed over its blocks."""
-    full, last = divmod(config.trials, config.block_size)
-    blocks = min(full, _chunk_blocks(config, n))
-    return max(blocks, 1), max(blocks * config.block_size, last)
 
 
 def _take(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -375,7 +364,8 @@ def _block_draws(config: SimConfig, blocks_root, n: int, workspace=None):
     order = pam_order(config.constellation)
     scale = math.sqrt(config.snr.snr_linear) if order is None else _pam_delta(config, order)
     if workspace is None:
-        workspace = np.empty(2 * n * _largest_chunk(config, n)[1])
+        _, blocks, t = next(_chunks(config, n))
+        workspace = np.empty(2 * n * blocks * t)
     u_buf, z_buf = np.split(workspace, 2)  # PAM symbols and noise
     for start, stop, t in _chunks(config, n):
         shape = (stop - start, n, t)
@@ -524,8 +514,8 @@ def _simulate_blocks(config: SimConfig, params: ChannelParams, blocks_root):
     # Freed, one buffer this large lifts glibc's mmap and trim thresholds
     # past a run's working set, so later runs take no page faults; apart,
     # the same arrays took about 350 faults a run.
-    blocks, trials = _largest_chunk(config, n)
-    chunk = n * trials
+    _, blocks, trials = next(_chunks(config, n))
+    chunk = n * blocks * trials
     sizes = [2 * chunk] + [chunk] * (2 if order is None else 4) + [(blocks + 1) * 3 * n * n]
     if scheme.is_sic:
         sizes.append((blocks + 1) * 3 * k * k)
@@ -535,7 +525,7 @@ def _simulate_blocks(config: SimConfig, params: ChannelParams, blocks_root):
     stages = [_StageSums(config, m, rows) for m, rows in zip((n, k), bufs)]
 
     def errors_of(estimates, idx):  # slices ``estimates`` in place
-        return (_pam_slice(estimates, delta, order, out=estimates) != idx).sum(axis=(0, 2))
+        return (_pam_slice(estimates, delta, order) != idx).sum(axis=(0, 2))
 
     built, channels = range(0), None
     for start, stop, u, idx, z in _block_draws(config, blocks_root, n, draws):

@@ -207,7 +207,8 @@ class TestMemory:
     def test_peak_grows_by_the_per_block_arrays_alone(self):
         # complex fast-fading LMMSE-SIC: a run keeps 2n floats per stage and
         # block (n = 8, then 4) and 3 parameter floats per block; its chunk
-        # arrays share one workspace sized by CHUNK_ELEMENTS, not by the run
+        # arrays share one workspace sized by CHUNK_ELEMENTS, not by the run,
+        # and 800 blocks already fill four chunks
         per_block = 8 * (2 * 8 + 2 * 4 + 3)
 
         def peak(blocks):
@@ -222,8 +223,8 @@ class TestMemory:
 
         small, large = peak(800), peak(8000)
         assert large - small <= 7200 * per_block + 32 * 1024
-        # the fixed part: the workspace of about 7 chunk arrays, the channels of
-        # the chunks built at once and their temporaries (1.6 MB at 2**14)
+        # the fixed part: the workspace, about 7 chunk arrays, and the channels
+        # of the chunks built at once with their temporaries (1.6 MB at 2**14)
         assert small - 800 * per_block <= 16 * 8 * montecarlo.CHUNK_ELEMENTS
 
 
