@@ -123,6 +123,11 @@ pdlsic verify --suite snr-closed-forms --alpha 0.9
 pdlsic verify --suite worst-case --pdl-db 6
 pdlsic verify --suite worst-case --alpha 0.9 --snr-db -100
 
+# worst-case refuses with exit 2 a grid that would fail it by construction: an even --n-beta
+# misses beta = 1/2, and one gamma point misses gamma = -alpha or +alpha
+expect 2 pdlsic verify --suite worst-case --alpha 0.5 --n-beta 200
+expect 2 pdlsic verify --suite worst-case --alpha 0.5 --n-gamma 1
+
 # the orthogonality and snr-closed-forms suites fail the identity and 0,2,1,3 controls
 expect 1 pdlsic verify --suite orthogonality --alpha 0.9 --precoder identity
 expect 1 pdlsic verify --suite snr-closed-forms --alpha 0.9 --model real --permute 0,2,1,3

@@ -204,10 +204,11 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
     one array over the batch, so the Gram must be symmetric positive
     semidefinite.  ``gram`` is a ``(*batch, n, n)`` stack, whose SNRs come
     back as the ``(*batch, n)`` view of a fresh entry-major array, or the
-    entry form: an ``(n, n)`` object array of Gram_ab rows, None where
-    Gram_ab is 0.0 throughout.  The entry form is consumed: stream i's SNRs
-    overwrite row ``[i, i]``, read once as step i starts, and the ``(n,)``
-    object array of those rows comes back; no other row is written.
+    entry form: an ``(n, n)`` object array of Gram_ab rows, None where the
+    caller leaves out a Gram_ab that is 0.0 throughout.  The entry form is
+    consumed: stream i's SNRs overwrite row ``[i, i]``, read once as step i
+    starts, and the ``(n,)`` object array of those rows comes back; no other
+    row is written.
 
     Error: the only loss is the cancellation in that subtraction, so each
     SNR is within 8*eps*snr*Gram_ii/SNR_i relative of the exact SNRs of the
@@ -218,21 +219,21 @@ def successive_stream_snrs(gram: np.ndarray, snr: float) -> np.ndarray:
     control reached 5.2e3x eps*snr*Gram_ii/SNR_i, so its reported stream
     minimum there carries that much error.
 
-    Zeros: U_ki is kept as None, never formed, when Gram_ki is None (in a
-    stack: 0.0 at every point) and none of its product terms has two formed
-    factors, and every product term with a None factor is skipped.  The
-    complex universal precoder leaves 16 of the 36 upper-triangle Gram
-    entries 0.0 everywhere, and 10 of the 28 U_ki stay None.  The SNRs keep
-    every bit of the dense recurrence: x - 0*y = x for finite y, and a zero
-    whose sign could differ only ever reaches a square.
+    Zeros: U_ki is kept as None, never formed, when Gram_ki is None and none
+    of its product terms has two formed factors, and every product term with
+    a None factor is skipped; a stack forms every entry.  The complex
+    universal precoder leaves 16 of the 36 upper-triangle Gram entries 0.0
+    everywhere, and 10 of the 28 U_ki stay None.  The SNRs keep every bit of
+    the dense recurrence: x - 0*y = x for finite y, and a zero whose sign
+    could differ only ever reaches a square.
     """
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr
     entry = np.asarray(gram)
     if entry.dtype != object:  # a stack: its entry form, the diagonal copied entry major
         gram = entry.astype(float, copy=False)
         out = np.ascontiguousarray(np.moveaxis(np.diagonal(gram, 0, -2, -1), -1, 0))
-        entry = [[out[a, ...] if a == b else gram[..., a, b] if a < b and gram[..., a, b].any()
-                  else None for b in range(len(out))] for a in range(len(out))]
+        entry = [[out[a, ...] if a == b else gram[..., a, b] for b in range(len(out))]
+                 for a in range(len(out))]
     n = len(entry)
     u = [[None] * n for _ in range(n)]  # u[k][i] = U_ki for k < i; None: 0.0 throughout
     for i in range(n - 1, -1, -1):
@@ -292,14 +293,15 @@ def _layout_tables(layout) -> tuple:
 _LAYOUT_TABLES = {model: _layout_tables(layout) for model, layout in FACTOR_LAYOUT.items()}
 
 
-def _gram_plan(precoder: Precoder) -> tuple:
-    """``(t_pairs, p_pairs, entries, coef)``: Gram[e] = sum_UV coef[e, U, V] * T_U * P_V.
+def _gram_plan(precoder: Precoder, phi) -> tuple:
+    """``(t_pairs, entries, side)``: Gram[e] = sum_U T_U * side[e, U] along the ``phi`` axis.
 
     Row (j, r) of H = blockdiag(M, M) @ G is sum_k M_rk G[(j, k), :], and by
     :data:`FACTOR_LAYOUT` each M_rk is a sign times t[u] * p[v] of the
     :func:`~pdlsic.channel.channel_factors` ``(t, p)``.  So H = N (t x p)
     for a fixed N, and H^T H is N^T N over the products T_U = t[u] * t[x]
-    and P_V = p[v] * p[y], taken over unordered pairs u <= x and v <= y.
+    and P_V = p[v] * p[y], taken over unordered pairs u <= x and v <= y;
+    the ``(E, T, n_phi)`` ``side`` is sum_V coef[e, U, V] * P_V at each phi (None: real).
     Only the T pairs and upper-triangle ``entries`` (a, b) with a nonzero coefficient are kept,
     the diagonal first: 20 of 36 for the complex universal precoder, 16 for the complex identity.
     """
@@ -311,31 +313,23 @@ def _gram_plan(precoder: Precoder) -> tuple:
     ka, kb = np.nonzero(np.triu((c != 0.0).any(axis=1).reshape(n, n), 1))
     entries = [(a, a) for a in range(n)] + list(zip(ka, kb))
     coef = c.reshape(n, n, len(t_pairs), -1)[tuple(np.array(entries).T)][:, keep]
-    return [t_pairs[k] for k in keep], p_pairs, entries, coef
-
-
-def _phi_factor(plan: tuple, phi) -> np.ndarray:
-    """The ``(E, T, n_phi)`` phi side of the plan's entries over the ``phi`` axis (None: real).
-
-    It is the same for every slab of the axis, so :func:`verify_star_property`
-    builds it once a call.
-    """
-    _, p_pairs, _, coef = plan
     p = channel_factors(0.0, 0.0, phi)[1]
-    return coef @ np.array([np.atleast_1d(p[v] * p[y]) for v, y in p_pairs])
+    side = coef @ np.array([np.atleast_1d(p[v] * p[y]) for v, y in p_pairs])
+    return [t_pairs[k] for k in keep], entries, side
 
 
-def _gram(gamma, theta, side: np.ndarray, plan: tuple, out: np.ndarray) -> np.ndarray:
-    """The plan's Gram entries over a slab: R (gamma, theta) rows x the phi axis of ``side``.
+def _gram(gamma, theta, plan: tuple, out: np.ndarray) -> np.ndarray:
+    """The plan's Gram entries over a slab: R (gamma, theta) rows x the phi axis of its side.
 
     ``gamma`` and ``theta`` are paired ``(R,)`` arrays, row r at ``(gamma[r],
     theta[r])``.  Each entry is the rank-T product of an ``(R, T)`` row factor
-    and its ``(T, n_phi)`` slice of ``side``, from :func:`_phi_factor`, all in one
+    and its ``(T, n_phi)`` slice of the plan's ``side``, all in one
     batched matmul into row e of the contiguous ``out`` of shape ``(E, S)``,
     S = R * n_phi, slab point j at row ``j // n_phi`` and phi ``j % n_phi``.
     """
+    t_pairs, _, side = plan
     t = channel_factors(gamma, theta)[0]
-    tt = np.stack([t[u] * t[x] for u, x in plan[0]], axis=-1)
+    tt = np.stack([t[u] * t[x] for u, x in t_pairs], axis=-1)
     np.matmul(tt, side, out=out.reshape(len(side), len(theta), side.shape[2]))
     return out
 
@@ -382,9 +376,8 @@ def verify_star_property(
     per = max(2, SLAB // n_phi)  # two rows at least: see above
     runs = max(1, rows // per)
     ends = [rows * k // runs for k in range(runs + 1)]  # per to 2 * per - 1 rows each
-    plan = _gram_plan(precoder)
-    side = _phi_factor(plan, phi)  # the same for every slab
-    n, entries = precoder.n_streams, plan[2]
+    plan = _gram_plan(precoder, phi)  # the same for every slab
+    n, entries = precoder.n_streams, plan[1]
     width = -(-rows // runs) * n_phi  # points in the largest slab
     buf, sums = np.empty(len(entries) * width), np.empty(width)  # one of each for every slab
     gram = np.empty((n, n), object)  # the kernel's entry form: None where the plan has no entry
@@ -399,7 +392,7 @@ def verify_star_property(
     for r0, r1 in zip(ends, ends[1:]):
         r = np.arange(r0, r1)
         size = len(r) * n_phi
-        slab = _gram(gammas[r // n_theta], theta[r % n_theta], side, plan,
+        slab = _gram(gammas[r // n_theta], theta[r % n_theta], plan,
                      buf[: len(entries) * size].reshape(-1, size))
         for (a, b), row in zip(entries, slab):
             gram[a, b] = row

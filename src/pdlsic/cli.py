@@ -377,6 +377,13 @@ def _suite_star_property(args, snr: SnrSpec):
 
 
 def _suite_worst_case(args, snr: SnrSpec):
+    # a grid without beta = 1/2 or without both gamma = +-alpha fails by construction
+    if args.n_beta % 2 == 0:
+        raise ValueError(f"worst-case needs an odd --n-beta, so that beta = 1/2 is a grid "
+                         f"point: got {args.n_beta}")
+    if args.n_gamma < 2:
+        raise ValueError(f"worst-case needs --n-gamma 2 or more, so that gamma = -alpha and "
+                         f"+alpha are grid points: got {args.n_gamma}")
     search = capacity.worst_case_search(
         args.alpha, snr.snr_linear, n_beta=args.n_beta, n_gamma=args.n_gamma
     )
@@ -512,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permute", type=_order, default=None,
                    help="Comma-separated column order of that precoder for a negative "
                         "test, e.g. 0,2,1,3; worst-case and means refuse it.")
-    p.add_argument("--n-beta", type=_count(2), default=capacity.GRID_N_BETA)
+    p.add_argument("--n-beta", type=_count(2), default=capacity.GRID_N_BETA,
+                   help="Power-split points of worst-case; odd, so that beta = 1/2 is one.")
     p.add_argument("--n-gamma", type=_count(1), default=capacity.GRID_N_GAMMA)
     p.add_argument("--n-theta", type=_count(1), default=capacity.GRID_N_THETA)
     p.add_argument("--n-phi", type=_count(1), default=capacity.GRID_N_PHI)

@@ -348,7 +348,7 @@ def _take(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _block_draws(config: SimConfig, blocks_root, n: int, workspace=None):
+def _block_draws(config: SimConfig, blocks_root, n: int, workspace: np.ndarray):
     """Per chunk, ``(start, stop, u, idx, z)``: symbols, PAM indices (None if Gaussian), noise.
 
     Child 0 of ``blocks_root`` seeds the noise stream and child 1 the PAM
@@ -357,15 +357,12 @@ def _block_draws(config: SimConfig, blocks_root, n: int, workspace=None):
     Gaussian symbols share the noise stream: block b's ``(2n, trials)``
     segment holds its symbols in the first n rows and its noise in the rest.
     The chunks are drawn into ``workspace``, a flat buffer with room for
-    two ``(C, n, T)`` arrays of the largest chunk (a new one if None), so a
-    chunk's arrays hold only until the next chunk is drawn.
+    two ``(C, n, T)`` arrays of the largest chunk, so a chunk's arrays hold
+    only until the next chunk is drawn.
     """
     noise, symbols = (np.random.default_rng(child) for child in blocks_root.spawn(2))
     order = pam_order(config.constellation)
     scale = math.sqrt(config.snr.snr_linear) if order is None else _pam_delta(config, order)
-    if workspace is None:
-        _, blocks, t = next(_chunks(config, n))
-        workspace = np.empty(2 * n * blocks * t)
     u_buf, z_buf = np.split(workspace, 2)  # PAM symbols and noise
     for start, stop, t in _chunks(config, n):
         shape = (stop - start, n, t)
@@ -400,7 +397,7 @@ class _StageSums:
     the SNR jackknife is a ratio of block sums and needs them.
     """
 
-    def __init__(self, config: SimConfig, n: int, rows: np.ndarray | None = None):
+    def __init__(self, config: SimConfig, n: int, rows: np.ndarray):
         self.block_size = config.block_size
         self.full = 0
         self.sums = np.zeros((3, 3, n, n))  # (moments, deviations, squares) of (uu, uz, zz)
@@ -408,17 +405,12 @@ class _StageSums:
         self.ragged_trials = 0
         self.signal = np.empty((config.n_blocks, n))
         self.noise = np.empty((config.n_blocks, n))
-        # Reused by every chunk, a flat buffer (a new one if None or too small):
-        # a running sum, then a chunk's (uu, uz, zz) moments, row by row
-        self.rows = np.empty(0) if rows is None else rows
+        self.rows = rows  # for the largest chunk: a running sum, then its moments, row by row
 
     def add(self, start: int, u: np.ndarray, z: np.ndarray) -> None:
         """Add blocks ``start, start + 1, ...`` of signal ``u`` and noise ``z``, each ``(C, n, T)``."""
         count, n, trials = u.shape
-        shape = (count + 1, 3, n, n)
-        if self.rows.size < math.prod(shape):
-            self.rows = np.empty(math.prod(shape))
-        rows = _take(self.rows, shape)
+        rows = _take(self.rows, (count + 1, 3, n, n))
         moments = rows[1:]
         np.matmul(u, u.swapaxes(1, 2), out=moments[:, 0])
         np.matmul(u, z.swapaxes(1, 2), out=moments[:, 1])

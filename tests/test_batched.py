@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pdlsic.capacity import _gram, _gram_plan, _phi_factor
+from pdlsic.capacity import _gram, _gram_plan
 from pdlsic.channel import ChannelParams, Model, SnrSpec, channel_matrix
 from pdlsic.equalize import (
     StreamScheme,
@@ -153,10 +153,10 @@ def test_gram_from_single_use_blocks_is_hth(precoder, gamma, theta, phi):
     """The star oracle's Gram over a theta x phi sheet, against H^T H of the effective channel."""
     phi = None if precoder.model is Model.REAL else phi
     n, n_phi = precoder.n_streams, 1 if phi is None else len(phi)
-    plan = _gram_plan(precoder)
-    entries = plan[2]
+    plan = _gram_plan(precoder, phi)
+    entries = plan[1]
     out = np.full((len(entries), len(theta) * n_phi), np.nan)
-    gram = _gram(gamma, theta, _phi_factor(plan, phi), plan, out)
+    gram = _gram(gamma, theta, plan, out)
     j = np.arange(len(theta) * n_phi)  # sheet point j is theta j // n_phi and phi j % n_phi
     params = ChannelParams(gamma, theta[j // n_phi], None if phi is None else phi[j % n_phi])
     h = effective_channel(params, precoder, SNR).matrix

@@ -95,11 +95,10 @@ def sheet_gram(precoder: Precoder, gamma, theta, phi) -> np.ndarray:
     The entries the plan leaves out, and the lower triangle, are 0.0.
     """
     n, n_phi = precoder.n_streams, 1 if phi is None else len(phi)
-    plan = capacity._gram_plan(precoder)
-    rows = capacity._gram(gamma, theta, capacity._phi_factor(plan, phi), plan,
-                          np.empty((len(plan[2]), len(theta) * n_phi)))
+    plan = capacity._gram_plan(precoder, phi)
+    rows = capacity._gram(gamma, theta, plan, np.empty((len(plan[1]), len(theta) * n_phi)))
     stack = np.zeros((rows.shape[1], n, n))
-    for (a, b), row in zip(plan[2], rows):
+    for (a, b), row in zip(plan[1], rows):
         stack[:, a, b] = row
     return stack
 
@@ -491,9 +490,9 @@ class TestSlabs:
         seen, sizes = [], []
         gram_of, kernel = capacity._gram, capacity.successive_stream_snrs
 
-        def recording_gram(gamma, theta, side, plan, out):
+        def recording_gram(gamma, theta, plan, out):
             seen.append(np.stack([gamma, theta]))
-            return gram_of(gamma, theta, side, plan, out)
+            return gram_of(gamma, theta, plan, out)
 
         def recording_kernel(gram, snr):
             sizes.append(len(gram[0, 0]))
@@ -538,24 +537,24 @@ class TestSlabs:
         n, d = 2 * model.dim, model.dim
         pres = [UNIVERSAL[model], identity_precoder(model),
                 permute_columns(UNIVERSAL[model], (0, 2, 1, 3) + tuple(range(4, n)))]
-        plans = [capacity._gram_plan(pre) for pre in pres]
-        assert [len(plan[2]) for plan in plans] == ([20, 16, 20] if n == 8 else [8, 6, 8])
+        phi = lattice_axes(0.599, model, n_phi=capacity.GRID_N_PHI)[2]  # the oracle's default
+        plans = [capacity._gram_plan(pre, phi) for pre in pres]
+        assert [len(plan[1]) for plan in plans] == ([20, 16, 20] if n == 8 else [8, 6, 8])
         left_out = []
         for pre, plan in zip(pres, plans):
             g = pre.entries.reshape(2, d, n)
             w = np.einsum("jka,jlb->klab", g, g).reshape(d * d, n, n)
-            left = [(a, b) for a, b in zip(*np.triu_indices(n)) if (a, b) not in plan[2]]
+            left = [(a, b) for a, b in zip(*np.triu_indices(n)) if (a, b) not in plan[1]]
             left_out.append(w[:, [a for a, _ in left], [b for _, b in left]])
         slabs, gram_of = [], capacity._gram
 
-        def recording_gram(gamma, theta, side, plan, out):
+        def recording_gram(gamma, theta, plan, out):
             slabs.append((gamma.copy(), theta.copy()))
-            return gram_of(gamma, theta, side, plan, out)
+            return gram_of(gamma, theta, plan, out)
 
         monkeypatch.setattr(capacity, "_gram", recording_gram)
         monkeypatch.setattr(capacity, "successive_stream_snrs", lambda gram, snr: np.diagonal(gram))
         capacity.verify_star_property(pres[0], 0.599, 20.0)
-        phi = lattice_axes(0.599, model, n_phi=capacity.GRID_N_PHI)[2]  # the oracle's default
         for gamma, theta in slabs:
             n_phi = 1 if phi is None else len(phi)
             j = np.arange(len(theta) * n_phi)
@@ -563,8 +562,7 @@ class TestSlabs:
                                              None if phi is None else phi[j % n_phi]))
             mtm = (np.swapaxes(m, -1, -2) @ m).reshape(len(j), d * d)
             for plan, w in zip(plans, left_out):
-                rows = gram_of(gamma, theta, capacity._phi_factor(plan, phi), plan,
-                               np.empty((len(plan[2]), len(j))))
+                rows = gram_of(gamma, theta, plan, np.empty((len(plan[1]), len(j))))
                 assert (rows != 0.0).any(axis=1).all()
                 assert np.abs(mtm @ w).max(initial=0.0) < 1e-12
 

@@ -281,6 +281,44 @@ class TestVerify:
         assert code == 0
         assert stdout.startswith("PASS worst-case beta*=0.5 extremal=True ")
 
+    @pytest.mark.parametrize("grid, flag", [
+        (["--n-beta", "200"], "--n-beta"),
+        (["--n-beta", "8"], "--n-beta"),
+        (["--n-beta", "2"], "--n-beta"),
+        (["--n-gamma", "1"], "--n-gamma"),
+        (["--n-beta", "9", "--n-gamma", "1"], "--n-gamma"),
+    ])
+    def test_worst_case_refuses_grids_it_cannot_pass(self, grid, flag, capsys, tmp_path):
+        # without beta = 1/2 or both gamma = +-alpha on the grid the suite read FAIL, exit 1,
+        # e.g. --n-beta 200 at alpha 0.5: beta*=0.497487 defect=2.287e-04 bits
+        out = tmp_path / "detail.json"
+        code, stdout, err = run_cli(
+            ["verify", "--suite", "worst-case", "--alpha", "0.5", *grid, "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: worst-case needs ") and flag in err
+
+    @pytest.mark.parametrize("snr_db", ["-20", "0", "13.01", "60"])
+    @pytest.mark.parametrize("alpha", ["0.1", "0.599", "0.9", "0.999999"])
+    def test_worst_case_passes_every_grid_it_accepts(self, alpha, snr_db, capsys):
+        for n_beta in ("3", "5", "7", "9", "201"):
+            for n_gamma in ("2", "3", "201"):
+                code, stdout, _ = run_cli(
+                    ["verify", "--suite", "worst-case", "--alpha", alpha, "--snr-db", snr_db,
+                     "--n-beta", n_beta, "--n-gamma", n_gamma], capsys
+                )
+                assert code == 0 and stdout.startswith("PASS worst-case "), (n_beta, n_gamma)
+
+    @pytest.mark.parametrize("suite", ["star-property", "means"])
+    def test_other_grid_suites_take_one_gamma(self, suite, capsys):
+        # only worst-case needs both gamma = +-alpha; the oracle benchmark runs --n-gamma 1
+        code, stdout, _ = run_cli(
+            ["verify", "--suite", suite, "--alpha", "0.599", "--n-gamma", "1", "--n-theta", "8",
+             "--n-phi", "4"], capsys
+        )
+        assert code == 0 and stdout.startswith(f"PASS {suite}")
+
     def test_star_property_universal_precoder(self, capsys):
         code, stdout, _ = run_cli(
             ["verify", "--suite", "star-property", "--alpha", "0.599", "--model", "real",

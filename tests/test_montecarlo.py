@@ -20,6 +20,7 @@ from pdlsic.montecarlo import (
     SimConfig,
     _block_draws,
     _block_params,
+    _chunks,
     _jackknife_ratio,
     _StageSums,
     pam_order,
@@ -293,7 +294,7 @@ class TestStreamedSums:
         while sum(sizes) < full:
             draw = data.draw(st.integers(1, full)) if data is not None else 2
             sizes.append(min(draw, full - sum(sizes)))
-        sums = _StageSums(cfg, n)
+        sums = _StageSums(cfg, n, np.empty((max(full, 1) + 1) * 3 * n * n))
         feed(sums, u, z, sizes)
         if ragged:
             sums.add(full, ur, zr)
@@ -327,7 +328,7 @@ class TestStreamedSums:
         (u, z), _ = self.blocks(seed, full, 5, 0, 4)
 
         def stats(sizes):
-            sums = _StageSums(cfg, 4)
+            sums = _StageSums(cfg, 4, np.empty((full + 1) * 3 * 4 * 4))
             assert feed(sums, u, z, sizes) == full
             return sums.stats()
 
@@ -376,9 +377,11 @@ class TestStreams:
         else:
             stream = noise.standard_normal(n * trials)
             symbols = np.random.default_rng(symbol_seed).integers(0, 4, n * trials)
+        _, first, t = next(_chunks(cfg, n))
+        workspace = np.empty(2 * n * first * t)  # as a run's: room for the first, largest chunk
         offset = 0
         blocks = 0
-        for start, stop, u, idx, z in _block_draws(cfg, blocks_root(), n):
+        for start, stop, u, idx, z in _block_draws(cfg, blocks_root(), n, workspace):
             for c in range(stop - start):
                 t = u.shape[-1]
                 if constellation == "Gaussian":

@@ -1,5 +1,6 @@
 """The documented and traced surface of pdlsic: README examples run, tracer names resolve,
-the command line starts without scipy, a module loads only what it imports."""
+the benchmark's call contracts hold, the command line starts without scipy, a module loads
+only what it imports."""
 
 import importlib
 import importlib.util
@@ -8,6 +9,9 @@ import pathlib
 import re
 import subprocess
 import sys
+
+from pdlsic import capacity, cli, montecarlo
+from pdlsic.channel import Model, SampleMode, SnrSpec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -37,6 +41,42 @@ def test_tracer_spans_resolve():
             assert hasattr(owner, part), f"pdlsic.{module_name} has no {attr}"
             owner = getattr(owner, part)
         assert callable(owner)
+
+
+def test_run_builds_channels_through_montecarlo_effective_channel(monkeypatch):
+    # the benchmark's wrong-channel check swaps in a three-argument wrapper of this
+    # attribute; a run that built its channels another way would pass that check unseen
+    original, built = montecarlo.effective_channel, []
+
+    def recording(params, precoder, snr):
+        built.append(len(params.gamma))
+        return original(params, precoder, snr)
+
+    monkeypatch.setattr(montecarlo, "effective_channel", recording)
+    config = montecarlo.SimConfig(Model.COMPLEX, 0.599, SnrSpec(20.0),
+                                  SampleMode.UNIFORM_INTERIOR, montecarlo.Scheme.LMMSE_SIC,
+                                  trials=203, seed=1, block_size=10)
+    montecarlo.run(config)
+    assert sum(built) == config.n_blocks
+
+
+def test_curves_reads_c_compound_through_capacity(monkeypatch, capsys):
+    # the benchmark's curves check shifts capacity.c_compound by 1e-6 and must see the
+    # c_compound column move
+    argv = ["curves", "--alpha", "0.599", "--snr-db-step", "5"]
+
+    def columns():
+        assert cli.main(argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        return dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
+
+    before = columns()
+    original = capacity.c_compound
+    monkeypatch.setattr(capacity, "c_compound", lambda a, s: original(a, s) + 1e-6)
+    after = columns()
+    assert after["snr_db"] == before["snr_db"] and after["c_awgn"] == before["c_awgn"]
+    for old, new in zip(before["c_compound"], after["c_compound"]):
+        assert abs(new - old - 1e-6) < 1e-9
 
 
 def test_cli_cold_start_loads_no_scipy():
