@@ -135,6 +135,12 @@ expect 1 pdlsic verify --suite snr-closed-forms --alpha 0.9 --model real --permu
 # snr-closed-forms refuses with exit 2 and no --out file where its rounding floor reaches the tolerance (from 205 dB on both models)
 expect 2 pdlsic verify --suite snr-closed-forms --alpha 0.5 --snr-db 230 --out "$tmp/floor.json"; test ! -e "$tmp/floor.json"
 
+# snr-closed-forms refuses with exit 2 and no --out file where its LMMSE statistics leave the normal float range (the signal scales as SNR^3)
+expect 2 pdlsic verify --suite snr-closed-forms --alpha 0.5 --snr-db -1100 --out "$tmp/closed_forms_underflow.json"; test ! -e "$tmp/closed_forms_underflow.json"
+
+# means refuses with exit 2 and no --out file where a*b*SNR^2 of its capacity chain underflows
+expect 2 pdlsic verify --suite means --alpha 0.5 --snr-db -1600 --out "$tmp/means_underflow.json"; test ! -e "$tmp/means_underflow.json"
+
 # means refuses a control with exit 2
 expect 2 pdlsic verify --suite means --pdl-db 6 --precoder identity
 

@@ -25,6 +25,7 @@ from .channel import (
     SnrSpec,
     channel_factors,
     lattice_axes,
+    lattice_points,
     validate_alpha,
 )
 from .precode import Precoder
@@ -138,8 +139,6 @@ class WorstCaseSearch:
     @property
     def all_extremal(self) -> bool:
         """True when the worst gamma sits at +-alpha for every beta."""
-        if self.alpha == 0.0:
-            return True
         return bool(np.all(np.isclose(np.abs(self.gamma_star), self.alpha)))
 
     @property
@@ -344,9 +343,9 @@ def verify_star_property(
 ) -> StarPropertyReport:
     """Grid oracle for the precoder property that SIC order does not lose rate.
 
-    Evaluates, over :func:`~pdlsic.channel.lattice`, the minimum of the sum of
-    successive per-stream capacities against the sum of the per-stream
-    minima.  Every lattice point gets its own Gram and
+    Evaluates, over the lattice of :func:`~pdlsic.channel.lattice_points`,
+    the minimum of the sum of successive per-stream capacities against the
+    sum of the per-stream minima.  Every lattice point gets its own Gram and
     :func:`successive_stream_snrs`, a slab at a time.  Row r of the lattice
     is gamma ``r // n_theta`` and theta ``r % n_theta``; a slab is a run of
     consecutive rows x the phi axis, and may end inside a gamma sheet.  The
@@ -370,7 +369,7 @@ def verify_star_property(
     lattice point of the left side's minimum and of each stream's minimum.
     """
     SnrSpec(snr)  # rejects snr <= 0 and non-finite snr before any grid work
-    gammas, theta, phi = lattice_axes(alpha, precoder.model, n_gamma, n_theta, n_phi)
+    axes = gammas, theta, phi = lattice_axes(alpha, precoder.model, n_gamma, n_theta, n_phi)
     n_theta, n_phi = len(theta), 1 if phi is None else len(phi)
     rows = len(gammas) * n_theta
     per = max(2, SLAB // n_phi)  # two rows at least: see above
@@ -382,13 +381,8 @@ def verify_star_property(
     buf, sums = np.empty(len(entries) * width), np.empty(width)  # one of each for every slab
     gram = np.empty((n, n), object)  # the kernel's entry form: None where the plan has no entry
 
-    def point(at) -> ChannelParams:  # point j of the slab from row r0: row r0 + j // n_phi
-        r, f = divmod(at, n_phi)
-        return ChannelParams(float(gammas[r // n_theta]), float(theta[r % n_theta]),
-                             None if phi is None else float(phi[f]))
-
     lhs, lhs_at = np.inf, None  # nats: the minimum over the grid of sum_i log1p(SNR_i)
-    min_snrs, min_at = np.full(n, np.inf), [None] * n  # min_at, lhs_at: r0 * n_phi + j
+    min_snrs, min_at = np.full(n, np.inf), [None] * n  # min_at, lhs_at: point r0 * n_phi + j
     for r0, r1 in zip(ends, ends[1:]):
         r = np.arange(r0, r1)
         size = len(r) * n_phi
@@ -414,8 +408,8 @@ def verify_star_property(
         rhs_bits=rhs / n,
         gap_bits=(lhs - rhs) / n,
         min_stream_snrs=min_snrs,
-        lhs_point=point(lhs_at),
-        min_stream_points=tuple(map(point, min_at)),
+        lhs_point=lattice_points(axes, lhs_at),
+        min_stream_points=tuple(lattice_points(axes, k) for k in min_at),
     )
 
 
@@ -444,6 +438,8 @@ def mean_identity_check(a: float, b: float, snr: float = 100.0) -> MeanIdentityR
     gm = math.sqrt(a * b)
     hm = 2.0 * a * b / (a + b)
     product_defect = abs(gm**2 - am * hm)
+    if a * b * snr * snr < np.finfo(float).tiny:  # below SNR 1, the chain's least product
+        raise ValueError(f"the capacity chain underflows the float range at snr {snr:g}")
     t_sum = 0.5 * math.log2(a * snr) + 0.5 * math.log2(b * snr)
     t_product = 0.5 * math.log2(a * b * snr * snr)
     t_geometric = 2.0 * (0.5 * math.log2(gm * snr))

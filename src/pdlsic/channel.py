@@ -15,8 +15,7 @@ immutable value and every operation a pure function.
 :class:`ChannelParams` fields may be arrays that broadcast together instead
 of scalars; :func:`channel_matrix` then returns the stack of matrices over
 their broadcast shape, and a scalar point is simply a batch of one.
-:func:`lattice` relies on this: its gamma column and theta/phi row stand for
-the whole Grid lattice without storing it.
+:func:`lattice_points` names Grid lattice points, one or a stack at a time.
 """
 
 import enum
@@ -214,7 +213,11 @@ def draw_params(alpha: float, mode: SampleMode, model: Model, seed, count: int) 
 
 
 def lattice_axes(alpha: float, model: Model, n_gamma=41, n_theta=64, n_phi=64) -> tuple:
-    """The gamma, theta and phi axes of :func:`lattice`; phi is None for the real model."""
+    """The gamma, theta and phi axes of the Grid lattice, at the sizes of Grid runs by default.
+
+    gamma spans [-alpha, alpha] with both endpoints (provably the worst case); theta and phi,
+    periodic, exclude 2*pi.  phi is None for the real model, which ignores ``n_phi``.
+    """
     validate_alpha(alpha)
     if min(n_gamma, n_theta, n_phi) < 1:
         raise ValueError("grid sizes must be at least 1")
@@ -223,23 +226,18 @@ def lattice_axes(alpha: float, model: Model, n_gamma=41, n_theta=64, n_phi=64) -
     return np.linspace(-alpha, alpha, n_gamma), theta, phi
 
 
-def lattice(alpha: float, model: Model, n_gamma=41, n_theta=64, n_phi=64) -> ChannelParams:
-    """The (gamma, theta[, phi]) Grid lattice, gamma outermost and phi innermost.
+def lattice_points(axes: tuple, k) -> ChannelParams:
+    """Point ``k`` of the lattice on :func:`lattice_axes` ``axes``, gamma outermost, phi innermost.
 
-    gamma spans [-alpha, alpha] with both endpoints (provably the worst
-    case); theta and phi are periodic, so their grids exclude 2*pi.  The real
-    model ignores ``n_phi``.  ``gamma`` has shape ``(n_gamma, 1)`` and
-    ``theta``/``phi`` shape ``(1, S)`` over the S-point sheet, the theta axis
-    x the phi axis of :func:`lattice_axes`: sheet point j is theta ``j //
-    n_phi`` and phi ``j % n_phi`` (n_phi 1 for the real model).  The fields
-    broadcast to the lattice without storing it, point k at ``[k // S, k %
-    S]``.  The default sizes are those of Grid simulation runs.
+    ``k``, an int or an int array, is taken mod the lattice size: point k is gamma
+    ``k // (n_theta * n_phi)``, theta ``k // n_phi % n_theta`` and phi ``k % n_phi``
+    of the axes, n_phi 1 for the real model.  An array ``k`` gives a stack of its shape.
     """
-    gamma, theta, phi = lattice_axes(alpha, model, n_gamma, n_theta, n_phi)
-    if phi is None:
-        return ChannelParams(gamma[:, None], theta[None, :])
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    return ChannelParams(gamma[:, None], tt.reshape(1, -1), pp.reshape(1, -1))
+    gamma, theta, phi = axes
+    n_phi = 1 if phi is None else len(phi)
+    r, f = divmod(k % (len(gamma) * len(theta) * n_phi), n_phi)
+    g, t = divmod(r, len(theta))
+    return ChannelParams(gamma[g], theta[t], None if phi is None else phi[f])
 
 
 def sample_params(

@@ -330,18 +330,27 @@ def _suite_snr_closed_forms(args, snr: SnrSpec):
                 f"snr-closed-forms cannot resolve its {CLOSED_FORM_TOL:g} tolerance at "
                 f"{snr.snr_db:g} dB: on the {n}-stream {model.value} model the rounding floor "
                 f"n^2*eps^2*SNR reaches it from {onset_db:.1f} dB")
-        numeric = {
-            StreamScheme.ZF: stream_statistics(eff, zf_equalizer(eff)).snr_per_stream,
-            StreamScheme.LMMSE: stream_statistics(eff, lmmse_equalizer(eff)).snr_per_stream,
-            StreamScheme.POST_SIC: second_stage_statistics(eff).snr_per_stream,
-        }
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+            numeric = {
+                StreamScheme.ZF: stream_statistics(eff, zf_equalizer(eff)),
+                StreamScheme.LMMSE: stream_statistics(eff, lmmse_equalizer(eff)),
+                StreamScheme.POST_SIC: second_stage_statistics(eff),
+            }
+        # below the normal range (the LMMSE signal scales as SNR^3) the SNRs read 0, 0/0 or drift
+        tiny = np.finfo(float).tiny
+        if not all(np.diagonal(k, 0, -2, -1).min() >= tiny
+                   for stats in numeric.values() for k in (stats.k_uu, stats.k_zz)):
+            raise ValueError(
+                f"snr-closed-forms cannot resolve the {model.value} model at {snr.snr_db:g} dB: a "
+                f"stream's signal or noise power falls below the normal float range ({tiny:.3g})")
         worst = {}
-        for scheme, snrs in numeric.items():
-            rel = np.abs(snrs - expect[scheme][:, None]).max(axis=1) / expect[scheme]
-            worst[scheme.value] = float(rel.max())
-        passed = max(worst.values()) < CLOSED_FORM_TOL
+        for scheme, stats in numeric.items():
+            dev = np.abs(stats.snr_per_stream - expect[scheme][:, None]).max(axis=1)
+            worst[scheme.value] = float((dev / expect[scheme]).max())
+        dev = float(np.max(list(worst.values())))  # unlike max(), keeps a NaN, which fails
+        passed = dev < CLOSED_FORM_TOL
         verdicts.append((model, passed, {"max_rel_dev": worst, "passed": passed},
-                         f"max_rel_dev={max(worst.values()):.3e} (tol {CLOSED_FORM_TOL:.0e})"))
+                         f"max_rel_dev={dev:.3e} (tol {CLOSED_FORM_TOL:.0e})"))
     yield from verdicts
 
 
@@ -404,7 +413,8 @@ def _suite_worst_case(args, snr: SnrSpec):
 
 
 def _suite_means(args, snr: SnrSpec):
-    # Python floats overflow to inf with no RuntimeWarning; mean_identity_check refuses it
+    # Python floats overflow to inf with no RuntimeWarning; mean_identity_check refuses an SNR
+    # at which its capacity chain over- or underflows
     gammas = lattice_axes(args.alpha, Model.REAL, args.n_gamma)[0].tolist()
     worst_product = 0.0
     worst_chain = 0.0

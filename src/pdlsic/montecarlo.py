@@ -43,7 +43,8 @@ from .channel import (
     SnrSpec,
     channel_matrix,
     draw_params,
-    lattice,
+    lattice_axes,
+    lattice_points,
     validate_alpha,
 )
 from .equalize import (
@@ -303,13 +304,9 @@ def _out_of_range(config: SimConfig) -> ValueError:
 
 
 def _block_params(config: SimConfig, seed) -> ChannelParams:
-    """The block parameters, stacked; Grid block b gets lattice point b mod the lattice size."""
+    """The block parameters, stacked; Grid block b gets :func:`lattice_points` point b."""
     if config.param_mode is SampleMode.GRID:
-        grid = lattice(config.alpha, config.model)
-        sheet = grid.theta.size
-        g, j = np.divmod(np.arange(config.n_blocks) % (grid.gamma.size * sheet), sheet)
-        phi = None if grid.phi is None else grid.phi[0, j]
-        return ChannelParams(grid.gamma[g, 0], grid.theta[0, j], phi)
+        return lattice_points(lattice_axes(config.alpha, config.model), np.arange(config.n_blocks))
     return draw_params(config.alpha, config.param_mode, config.model, seed, config.n_blocks)
 
 

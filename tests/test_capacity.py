@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdlsic import capacity
-from pdlsic.channel import ChannelParams, Model, SnrSpec, channel_matrix, lattice, lattice_axes
+from pdlsic.channel import (ChannelParams, Model, SnrSpec, channel_matrix, lattice_axes,
+                            lattice_points)
 from pdlsic.equalize import _statistics, lmmse_equalizer, stream_statistics
 from pdlsic.precode import (
     Precoder,
@@ -353,7 +354,8 @@ class TestStarProperty:
         n = pre.n_streams
         if control == "permuted":
             pre = permute_columns(pre, (0, 2, 1, 3) + tuple(range(4, n)))
-        grid = lattice(alpha, model, 5, 16, 8)
+        size = 5 * 16 * (8 if model is Model.COMPLEX else 1)
+        grid = lattice_points(lattice_axes(alpha, model, 5, 16, 8), np.arange(size))
         g = gram(effective_channel(grid, pre, SnrSpec(snr)).matrix).reshape(-1, n, n)
         snrs = capacity.successive_stream_snrs(g, snr)
         mins = snrs.min(axis=0)
@@ -465,7 +467,7 @@ class TestSlabs:
 
         # each named point is a lattice point, and the lattice reference attains the
         # reported minimum there: the rate sum within 4 eps, a stream within the kernel bound
-        points = lattice(alpha, model, **grid)
+        points = lattice_points((gammas, theta, phi), np.arange(len(gammas) * sheet))
         g = gram(effective_channel(points, pre, SnrSpec(snr)).matrix).reshape(-1, n, n)
         snrs = capacity.successive_stream_snrs(g, snr)
         rates = (0.5 * np.log2(1.0 + snrs)).sum(axis=1) / n
@@ -693,3 +695,13 @@ class TestMeanIdentity:
         assert capacity.mean_identity_check(1.5, 0.5, 1e154).chain_defect_bits < 1e-12
         with pytest.raises(ValueError, match="float range"):
             capacity.mean_identity_check(1.5, 0.5, 1e155)
+
+    def test_underflow_is_refused_not_failed(self):
+        # a * b * snr * snr goes subnormal below tiny: at snr 1e-156 the chain defect of (1, 1)
+        # read 1.1e-12 bits, a failed check, and at snr 1e-300 log2(0) raised a math domain error
+        tiny = np.finfo(float).tiny
+        edge = math.sqrt(tiny)
+        assert capacity.mean_identity_check(1.0, 1.0, 1.01 * edge).chain_defect_bits < 1e-12
+        for a, b, snr in ((1.0, 1.0, 0.99 * edge), (1.9, 0.1, 1e-154), (1.0, 1.0, 1e-300)):
+            with pytest.raises(ValueError, match=f"underflows the float range at snr {snr:g}"):
+                capacity.mean_identity_check(a, b, snr)

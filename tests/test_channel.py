@@ -1,6 +1,7 @@
 """Channel class: conversions, matrices, sampling, energy preservation."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from pdlsic.channel import (
     channel_factors,
     channel_matrix,
     draw_params,
-    lattice,
     lattice_axes,
+    lattice_points,
     pdl_db_from_alpha,
     sample_params,
 )
@@ -212,7 +213,8 @@ class TestSampling:
         for mode in (SampleMode.WORST_CASE_EDGE, SampleMode.UNIFORM_INTERIOR):
             assert all(p.gamma == 0.0 for p in sample_params(0.0, mode, Model.REAL, seed=1, count=50))
         for model in Model:
-            assert np.all(lattice(0.0, model, 5, 4, 3).gamma == 0.0)
+            grid = lattice_points(lattice_axes(0.0, model, 5, 4, 3), np.arange(60))
+            assert np.all(grid.gamma == 0.0)
 
     def test_edge_mode_is_extremal(self):
         both_signs = set()
@@ -249,6 +251,14 @@ def reference_lattice(alpha, model, n_gamma, n_theta, n_phi):
     return points
 
 
+def tiled_lattice(axes):
+    """The lattice's fields, gamma outermost and phi innermost, tiled from the axes bit for bit."""
+    gamma, theta, phi = axes
+    n_phi = 1 if phi is None else len(phi)
+    fields = [np.repeat(gamma, len(theta) * n_phi), np.tile(np.repeat(theta, n_phi), len(gamma))]
+    return fields + ([] if phi is None else [np.tile(phi, len(gamma) * len(theta))])
+
+
 class TestLattice:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -259,30 +269,35 @@ class TestLattice:
         n_phi=st.integers(1, 9),
     )
     def test_matches_the_triple_loop(self, alpha, model, n_gamma, n_theta, n_phi):
-        grid = lattice(alpha, model, n_gamma, n_theta, n_phi)
+        axes = lattice_axes(alpha, model, n_gamma, n_theta, n_phi)
         expect = reference_lattice(alpha, model, n_gamma, n_theta, n_phi)
-        sheet = len(expect) // n_gamma
+        size = len(expect)
+        grid = lattice_points(axes, np.arange(size))  # the whole lattice as one array of k
         assert grid.model is model
-        assert grid.gamma.shape == (n_gamma, 1) and grid.theta.shape == (1, sheet)
         fields = [grid.gamma, grid.theta] + ([] if grid.phi is None else [grid.phi])
-        got = np.stack([f.ravel() for f in np.broadcast_arrays(*fields)], axis=1)
+        assert all(f.shape == (size,) for f in fields)
         want = np.array([point[:len(fields)] for point in expect])
-        assert np.abs(got - want).max() < 1e-14  # the same points in the same order
-        assert grid.gamma[0, 0] == -alpha and grid.gamma[-1, 0] == (alpha if n_gamma > 1 else -alpha)
-        assert grid.theta[0, 0] == 0.0 and grid.theta.max() < TWO_PI
-        if model is Model.COMPLEX:
-            assert grid.phi.shape == (1, sheet) and grid.phi.max() < TWO_PI
-        # sheet point j is theta j // n_phi and phi j % n_phi of the axes
-        gammas, theta, phi = lattice_axes(alpha, model, n_gamma, n_theta, n_phi)
-        j = np.arange(sheet)
-        assert np.array_equal(grid.gamma[:, 0], gammas)
-        assert np.array_equal(grid.theta[0], theta[j // (1 if phi is None else n_phi)])
-        assert phi is None if model is Model.REAL else np.array_equal(grid.phi[0], phi[j % n_phi])
-        # the broadcast fields give the matrices of the whole lattice, point k at [k // S, k % S]
+        assert np.abs(np.stack(fields, axis=1) - want).max() < 1e-14  # the same points in order
+        assert all(f.tobytes() == g.tobytes() for f, g in zip(fields, tiled_lattice(axes)))
+        assert grid.gamma[0] == -alpha and grid.gamma[-1] == (alpha if n_gamma > 1 else -alpha)
+        assert grid.theta[0] == 0.0 and grid.theta.max() < TWO_PI
+        assert grid.phi is None if model is Model.REAL else grid.phi.max() < TWO_PI
+        # a scalar k, first, last or past the size, is the point k mod size of the array
+        for k in (0, size - 1, size, 2 * size + size // 2):
+            point = lattice_points(axes, k)
+            assert np.abs(np.array(astuple(point)[:len(fields)]) - want[k % size]).max() < 1e-14
+            entry = tuple(None if f is None else f[k % size] for f in astuple(grid))
+            assert astuple(point) == entry
+        # an array of k at or past the size wraps, and keeps its shape
+        wrapped = lattice_points(axes, np.arange(size, 3 * size).reshape(2, size))
+        for f, g in zip(astuple(wrapped), astuple(grid)):
+            assert g is None if f is None else f.tobytes() == np.concatenate([g, g]).tobytes()
+        assert wrapped.gamma.shape == (2, size)
+        # the stack gives the matrices of the whole lattice, point k at row k
         h = channel_matrix(grid)
-        assert h.shape == (n_gamma, sheet, model.dim, model.dim)
+        assert h.shape == (size, model.dim, model.dim)
         per_point = np.array([channel_matrix(ChannelParams(*point)) for point in expect])
-        assert np.abs(h.reshape(per_point.shape) - per_point).max() < 1e-14
+        assert np.abs(h - per_point).max() < 1e-14
 
 
 def scalar_draws(alpha, mode, model, seed, count):

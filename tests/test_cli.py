@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -552,6 +553,75 @@ class TestVerify:
                 assert code == 2, (snr_db, stdout)
                 assert stdout == "" and not out.exists()
                 assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("control", [[], ["--precoder", "identity"]],
+                             ids=["universal", "identity"])
+    @pytest.mark.parametrize("model", ["real", "complex", "both"])
+    @pytest.mark.parametrize("snr_db", ["-1030", "-1100", "-2000", "-3006"])
+    def test_closed_forms_refuse_underflowing_statistics(self, snr_db, model, control,
+                                                         capsys, tmp_path):
+        # the LMMSE signal scales as SNR^3 and leaves the normal range from about -1025.5 dB:
+        # at alpha 0.5 the suite read FAIL from -1060 dB, and PASS, then exit 2, at -2000 dB
+        out = tmp_path / "detail.json"
+        code, stdout, err = run_cli(
+            ["verify", "--suite", "snr-closed-forms", "--model", model, "--alpha", "0.5",
+             "--snr-db", snr_db, "--draws", "20", *control, "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: snr-closed-forms ") and f" {snr_db} dB" in err
+        assert err.count("\n") == 1  # one line: no RuntimeWarning either
+
+    @pytest.mark.parametrize("alpha", ["0", "0.5", "0.999999"])
+    def test_closed_forms_pass_above_the_underflow(self, alpha, capsys):
+        code, stdout, _ = run_cli(
+            ["verify", "--suite", "snr-closed-forms", "--alpha", alpha, "--snr-db", "-1020",
+             "--draws", "20"],
+            capsys,
+        )
+        assert code == 0 and stdout.count("PASS snr-closed-forms[") == 2
+
+    def test_closed_forms_verdict_fails_a_nan_deviation(self, capsys, monkeypatch):
+        # max() over the deviations skipped a NaN after the first entry and read PASS
+        second_stage = cli.second_stage_statistics
+
+        def nan_second_stage(eff):
+            stats = second_stage(eff)
+            return dataclasses.replace(stats, snr_per_stream=np.full_like(stats.snr_per_stream,
+                                                                          np.nan))
+
+        monkeypatch.setattr(cli, "second_stage_statistics", nan_second_stage)
+        code, stdout, _ = run_cli(
+            ["verify", "--suite", "snr-closed-forms", "--model", "real", "--alpha", "0.5",
+             "--draws", "20"],
+            capsys,
+        )
+        assert code == 1 and stdout.startswith("FAIL snr-closed-forms[real] max_rel_dev=nan ")
+
+    @pytest.mark.parametrize("with_out", [True, False], ids=["out", "stdout"])
+    @pytest.mark.parametrize("alpha, snr_db", [("0", "-1540"), ("0", "-1600"), ("0.9", "-1560"),
+                                               ("0.5", "-3000")])
+    def test_means_refuses_an_underflowing_chain(self, alpha, snr_db, with_out, capsys,
+                                                 tmp_path):
+        # a*b*SNR^2 goes subnormal near -1538 dB: the suite read FAIL at -1560 dB
+        # (chain_defect=1.137e-12 at alpha 0) and exited 2 on a math domain error at -3000 dB
+        out = tmp_path / "detail.json"
+        code, stdout, err = run_cli(
+            ["verify", "--suite", "means", "--alpha", alpha, "--snr-db", snr_db,
+             *(["--out", str(out)] if with_out else [])],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        snr = 10.0 ** (float(snr_db) / 10.0)
+        assert err == f"error: the capacity chain underflows the float range at snr {snr:g}\n"
+
+    def test_worst_case_passes_at_alpha_zero(self, capsys):
+        # every gamma on the axis is +-0.0, so each worst gamma is extremal
+        code, stdout, _ = run_cli(["verify", "--suite", "worst-case", "--alpha", "0"], capsys)
+        assert code == 0
+        assert stdout.startswith("PASS worst-case beta*=0.5 extremal=True ")
 
     @pytest.mark.parametrize("model", ["real", "complex", "both"])
     @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pdlsic import capacity, montecarlo
-from pdlsic.channel import Model, SampleMode, SnrSpec, channel_matrix, lattice
+from pdlsic.channel import Model, SampleMode, SnrSpec, channel_matrix, lattice_axes
 from pdlsic.equalize import StreamScheme, closed_form_stream_snr
 from pdlsic.montecarlo import (
     Scheme,
@@ -28,6 +28,7 @@ from pdlsic.montecarlo import (
     ser_pam_awgn,
 )
 from pdlsic.precode import universal_precoder
+from test_channel import reference_lattice, tiled_lattice
 
 
 def config(**overrides):
@@ -133,21 +134,21 @@ class TestConfig:
 class TestGridBlocks:
     @pytest.mark.parametrize("model", list(Model))
     def test_block_b_gets_lattice_point_b_mod_size(self, model):
-        grid = lattice(0.599, model)  # the default sizes, 41 x 64 (x 64 for phi)
-        points = np.stack([f.ravel() for f in np.broadcast_arrays(
-            grid.gamma, grid.theta, *([] if grid.phi is None else [grid.phi]))])
+        n_fields = 2 if model is Model.REAL else 3
+        # the default sizes, 41 x 64 (x 64 for phi)
+        points = np.array([p[:n_fields] for p in reference_lattice(0.599, model, 41, 64, 64)]).T
         size = points.shape[1]
         n_blocks = 2 * size + 5  # wraps around the lattice twice
         cfg = config(model=model, param_mode=SampleMode.GRID, trials=n_blocks, block_size=1)
         params = _block_params(cfg, seed=None)
         expect = points[:, np.arange(n_blocks) % size]
-        assert params.gamma.shape == (n_blocks,)
-        assert np.array_equal(params.gamma, expect[0])
-        assert np.array_equal(params.theta, expect[1])
-        if model is Model.REAL:
-            assert params.phi is None
-        else:
-            assert np.array_equal(params.phi, expect[2])
+        fields = [params.gamma, params.theta] + ([] if params.phi is None else [params.phi])
+        assert len(fields) == n_fields and params.gamma.shape == (n_blocks,)
+        tiled = tiled_lattice(lattice_axes(0.599, model))  # the axes' values, bit for bit
+        for got, want, axis_values in zip(fields, expect, tiled):
+            assert np.abs(got - want).max() < 1e-14
+            assert got[:size].tobytes() == axis_values.tobytes()
+            assert got[size:2 * size].tobytes() == got[:size].tobytes()  # each lap the same bits
 
 
 class TestReproducibility:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdlsic.channel import TWO_PI, ChannelParams, Model, SnrSpec, lattice
+from pdlsic.channel import TWO_PI, ChannelParams, Model, SnrSpec, lattice_axes, lattice_points
 from pdlsic.precode import (
     Precoder,
     effective_channel,
@@ -135,9 +135,11 @@ class TestOrthogonalDesign:
 
     def test_default_grid_certifies(self):
         for model, pre in ((Model.REAL, precoder_real()), (Model.COMPLEX, precoder_complex())):
-            grid = lattice(0.95, model, 11, 16, 8)  # the whole lattice as one broadcast stack
+            size = 11 * 16 * (8 if model is Model.COMPLEX else 1)
+            # the whole lattice as one stack
+            grid = lattice_points(lattice_axes(0.95, model, 11, 16, 8), np.arange(size))
             rep = verify_orthogonal_design(effective_channel(grid, pre, SNR))
-            assert rep.coupling.shape[:2] == (11, 16 * (8 if model is Model.COMPLEX else 1))
+            assert rep.coupling.shape[:1] == (size,)
             assert design_defect(rep) < 1e-10
 
     @settings(max_examples=200, deadline=None)
